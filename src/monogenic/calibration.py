@@ -115,26 +115,33 @@ def read_config(directory: Path | str = ".") -> CalibrationConfig:
         raise PreconditionError(
             f"calibration file {path} not found; run the `calibrate` command first"
         )
-    epsilon = None
-    norm = None
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
+    values: dict[str, str] = {}
+    for number, text in enumerate(path.read_text().splitlines(), start=1):
+        if not text.strip():
             continue
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key == "epsilon":
-            if raw not in ("+1", "-1", "1"):
-                raise PreconditionError(f"bad epsilon value {raw!r} in {path}")
-            epsilon = 1 if raw in ("+1", "1") else -1
-        elif key == "clifford_norm":
-            try:
-                norm = Fraction(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise PreconditionError(f"bad clifford_norm value {raw!r} in {path}") from exc
-    if epsilon is None or norm is None or norm == 0:
+        key, eq, raw = text.partition("=")
+        key = key.strip()
+        if not eq:
+            problem = "no '='"
+        elif key not in ("epsilon", "clifford_norm"):
+            problem = f"unknown key {key!r}"
+        elif key in values:
+            problem = f"repeated key {key!r}"
+        else:
+            values[key] = raw.strip()
+            continue
+        raise PreconditionError(f"{problem} on line {number} of {path}: {text!r}")
+    if len(values) != 2:
         raise PreconditionError(f"calibration file {path} is incomplete or malformed")
-    return CalibrationConfig(epsilon=epsilon, clifford_norm=norm)
+    if values["epsilon"] not in ("+1", "-1", "1"):
+        raise PreconditionError(f"bad epsilon value {values['epsilon']!r} in {path}")
+    try:
+        norm = Fraction(values["clifford_norm"])
+    except (ValueError, ZeroDivisionError):
+        norm = Fraction(0)
+    if not norm:
+        raise PreconditionError(f"bad clifford_norm value {values['clifford_norm']!r} in {path}")
+    return CalibrationConfig(epsilon=-1 if values["epsilon"] == "-1" else 1, clifford_norm=norm)
 
 
 def companion_third_section():

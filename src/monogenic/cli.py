@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import calibration
 from .cochain import ROOT_NAMES, CochainSection, g0_action, weight_of_monomial
@@ -29,14 +28,10 @@ from .repn import decompose_Mk
 from .transform import penrose_transform
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _calibration_fields(config: calibration.CalibrationConfig) -> dict:
     return {
         "epsilon": "+1" if config.epsilon > 0 else "-1",
-        "clifford_norm": _fraction_str(config.clifford_norm),
+        "clifford_norm": calibration.format_fraction(config.clifford_norm),
     }
 
 
@@ -133,8 +128,8 @@ def _cmd_weight(args, config) -> dict:
         rows.append(
             {
                 "monomial": monomial.body.to_string(),
-                "coefficient": _fraction_str(coeff),
-                "gl2": [_fraction_str(w) for w in weight.gl2],
+                "coefficient": calibration.format_fraction(coeff),
+                "gl2": [calibration.format_fraction(w) for w in weight.gl2],
                 "gl4": list(weight.gl4),
             }
         )
@@ -193,7 +188,7 @@ def _cmd_decompose(args, config) -> dict:
                 "a": label.a,
                 "b": label.b,
                 "l": label.l,
-                "gl2_weight": [_fraction_str(w) for w in descriptor.gl2_weight],
+                "gl2_weight": [calibration.format_fraction(w) for w in descriptor.gl2_weight],
                 "sl4_weight": list(descriptor.sl4_weight),
                 "dimension": descriptor.dimension,
             }

@@ -80,6 +80,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_value(token: tuple[str, str, int]) -> int:
+    try:
+        return int(token[1])
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"numeral of {len(token[1])} digits is too long", token[2]) from None
+
+
 class _Parser:
     def __init__(self, text: str, context: Context):
         self.text = text
@@ -126,14 +133,14 @@ class _Parser:
         coefficient = Fraction(sign)
         powers: dict[str, int] = {}
         if kind == "int":
-            self.advance()
-            numerator = int(value)
+            numerator = _int_value(self.advance())
             if self.peek()[:2] == ("op", "/"):
                 self.advance()
                 denom_token = self.expect("int")
-                if int(denom_token[1]) == 0:
+                denominator = _int_value(denom_token)
+                if denominator == 0:
                     raise ParseError("zero denominator", denom_token[2])
-                coefficient *= Fraction(numerator, int(denom_token[1]))
+                coefficient *= Fraction(numerator, denominator)
             else:
                 coefficient *= numerator
         elif kind == "ident":
@@ -160,8 +167,9 @@ class _Parser:
             if self.peek()[:2] == ("op", "-"):
                 self.advance()
                 negative = True
-            exp_token = self.expect("int")
-            exponent = -int(exp_token[1]) if negative else int(exp_token[1])
+            exponent = _int_value(self.expect("int"))
+            if negative:
+                exponent = -exponent
         if exponent < 0:
             if self.context is Context.SPINOR:
                 raise ParseError(f"negative exponent on {name!r} in spinor context", pos)

@@ -8,10 +8,11 @@ Completion: the weight of the sought vector pins a finite monomial candidate
 space (z0 degree at most l, pole orders determined by the row sums), and the
 raising conditions become an exact linear system over it.  The solution is
 unique only at the level of classes: the candidate space contains combinations
-whose class and whose raised classes all vanish.  The solver therefore
-quotients by that trivial subspace and returns the canonical representative
-with zeros in its pivot coordinates, normalized so the designated leading
-monomial z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
+whose class and whose raised classes all vanish.  That trivial subspace is
+one exact nullspace, of the raising rows stacked over the image rows; the
+solver quotients by it and returns the canonical representative with zeros
+in its pivot coordinates, normalized so the designated leading monomial
+z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .laurent import (
     exact_nullspace,
     rref,
 )
-from .transform import SpinorField, class_is_zero, penrose_transform
+from .transform import class_is_zero, penrose_transform
+from .transform import spinor_coefficient_rows as _stacked_rows
 
 
 def hwv_test(section: CochainSection) -> bool:
@@ -73,20 +75,6 @@ def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
     return sorted(set(out))
 
 
-def _stacked_rows(per_candidate: list[list[SpinorField]]) -> list[list[Fraction]]:
-    """Coefficient matrix of a tuple of spinor fields per candidate (exact)."""
-    coords: set[tuple[int, int, Exponents]] = set()
-    for fields in per_candidate:
-        for slot, field in enumerate(fields):
-            for m, p in enumerate(field.components):
-                coords.update((slot, m, e) for e in p.terms)
-    ordered = sorted(coords)
-    return [
-        [fields[slot].components[m].coefficient(e) for fields in per_candidate]
-        for (slot, m, e) in ordered
-    ]
-
-
 def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     """The canonical highest weight vector with leading term z0^l D^a z11^b/(zzz).
 
@@ -112,50 +100,26 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     if not solutions:
         raise InternalCheckError(f"no highest weight solution for label {label}")
 
-    images = [[penrose_transform(cand)] for cand in candidates]
-    image_rows = _stacked_rows(images)
-
-    def image_of(vector: list[Fraction]) -> list[Fraction]:
-        return [
-            sum((row[c] * vector[c] for c in range(len(vector)) if vector[c]), Fraction(0))
-            for row in image_rows
-        ]
-
-    solution_images = [image_of(sol) for sol in solutions]
-    restricted = [
-        [solution_images[s][r] for s in range(len(solutions))]
-        for r in range(len(image_rows))
-    ]
-    trivial_in_solution_coords = exact_nullspace(restricted, n_cols=len(solutions))
-    if len(solutions) - len(trivial_in_solution_coords) != 1:
+    # Trivial subspace: combinations killed by both the raising and the image rows.
+    image_rows = _stacked_rows([[penrose_transform(cand)] for cand in candidates])
+    trivial = exact_nullspace(constraint_rows + image_rows, n_cols=len(candidates))
+    if len(solutions) - len(trivial) != 1:
         raise InternalCheckError(
             f"label {label}: solution space has class dimension "
-            f"{len(solutions) - len(trivial_in_solution_coords)}, expected 1"
+            f"{len(solutions) - len(trivial)}, expected 1"
         )
+    reduced_trivial, trivial_pivots = rref(trivial, len(candidates))
 
-    trivial_vectors = [
-        [
-            sum((coeffs[s] * solutions[s][c] for s in range(len(solutions))), Fraction(0))
-            for c in range(len(candidates))
-        ]
-        for coeffs in trivial_in_solution_coords
-    ]
-    reduced_trivial, trivial_pivots = (
-        rref(trivial_vectors, len(candidates)) if trivial_vectors else ([], [])
-    )
+    def remainder(vector: list[Fraction]) -> list[Fraction]:
+        for row, pivot in zip(reduced_trivial, trivial_pivots):
+            factor = vector[pivot]
+            if factor:
+                vector = [v - factor * w for v, w in zip(vector, row)]
+        return vector
 
-    representative = None
-    for sol, sol_image in zip(solutions, solution_images):
-        if any(sol_image):
-            representative = list(sol)
-            break
+    representative = next((r for r in map(remainder, solutions) if any(r)), None)
     if representative is None:
         raise InternalCheckError(f"label {label}: all solutions have zero class")
-
-    for row, pivot in zip(reduced_trivial, trivial_pivots):
-        factor = representative[pivot]
-        if factor:
-            representative = [v - factor * w for v, w in zip(representative, row)]
 
     lead = [0] * len(TWISTOR)
     lead[TWISTOR.index["z0"]] = l

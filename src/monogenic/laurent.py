@@ -17,6 +17,7 @@ positive denominator, arbitrary precision.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -479,18 +480,8 @@ class PolyMatrix:
 # ------------------------------------------------------------- exact nullspace
 def _integerize(row: list[Scalar]) -> list[int]:
     fracs = [Fraction(v) for v in row]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
+    lcm = math.lcm(*(f.denominator for f in fracs))
     return [int(f * lcm) for f in fracs]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _bareiss_echelon(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[int]], list[int]]:
@@ -535,58 +526,46 @@ def matrix_rank(rows: list[list[Scalar]], n_cols: int | None = None) -> int:
     return len(pivots)
 
 
+def rref(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: (nonzero rows, pivot columns).
+
+    The Bareiss echelon form is back-reduced from its last pivot up, so each
+    row is divided once by its pivot and cleared only at the later pivots.
+    """
+    m, pivots = _bareiss_echelon(rows, n_cols)
+    reduced: list[list[Fraction]] = [[] for _ in pivots]
+    for r in range(len(pivots) - 1, -1, -1):
+        head = m[r][pivots[r]]
+        row = [Fraction(v, head) for v in m[r]]
+        for s in range(r + 1, len(pivots)):
+            factor = row[pivots[s]]
+            if factor:
+                row = [a - factor * b for a, b in zip(row, reduced[s])]
+        reduced[r] = row
+    return reduced, pivots
+
+
 def exact_nullspace(rows: list[list[Scalar]], n_cols: int | None = None) -> list[list[Fraction]]:
     """Basis of the exact right nullspace of a rational matrix.
 
-    Returns one vector per free column (so the basis is linearly independent
-    and its length is the exact nullity).  An empty `rows` list means the map
-    is zero and the whole space comes back.
+    Returns one vector per free column f of the reduced row echelon form R:
+    v[f] = 1, v[pivot_r] = -R[r][f] and zero at the other free columns.  The
+    basis is therefore canonical and its length is the exact nullity.  An
+    empty `rows` list means the map is zero and the whole space comes back.
     """
     if n_cols is None:
         if not rows:
             raise ValueError("cannot infer the column count of an empty matrix")
         n_cols = len(rows[0])
-    if not rows:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(n_cols)]
-            for i in range(n_cols)
-        ]
-    m, pivots = _bareiss_echelon(rows, n_cols)
+    reduced, pivots = rref(rows, n_cols)
     pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
     basis: list[list[Fraction]] = []
-    for f in free:
+    for f in range(n_cols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * n_cols
         v[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = Fraction(0)
-            for c in range(pc + 1, n_cols):
-                if v[c]:
-                    s += Fraction(m[r][c]) * v[c]
-            v[pc] = -s / m[r][pc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f]
         basis.append(v)
     return basis
-
-
-def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (matrix, pivot cols)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= len(m):
-            break
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots

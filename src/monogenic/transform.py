@@ -12,8 +12,10 @@ deg(x12) = 2 and deg(x1_ij) = deg(x2_ij) = 1.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .charts import BASE, CORRESPONDENCE, ZETA_VARS, correspondence_substitution
 from .cochain import CochainSection
@@ -64,17 +66,10 @@ class SpinorField:
         return degrees.pop() if len(degrees) == 1 else None
 
 
-_WEIGHT_VECTOR = None
-
-
+@lru_cache(maxsize=None)
 def _weight_vector() -> tuple[LaurentPoly, ...]:
-    global _WEIGHT_VECTOR
-    if _WEIGHT_VECTOR is None:
-        one = LaurentPoly.constant(CORRESPONDENCE, 1)
-        _WEIGHT_VECTOR = (one,) + tuple(
-            LaurentPoly.variable(CORRESPONDENCE, name) for name in ZETA_VARS
-        )
-    return _WEIGHT_VECTOR
+    one = LaurentPoly.constant(CORRESPONDENCE, 1)
+    return (one,) + tuple(LaurentPoly.variable(CORRESPONDENCE, name) for name in ZETA_VARS)
 
 
 def penrose_transform(section: CochainSection) -> SpinorField:
@@ -97,16 +92,19 @@ def class_is_zero(section: CochainSection) -> bool:
     return penrose_transform(section).is_zero()
 
 
-def spinor_coefficient_rows(fields: list[SpinorField]) -> list[list[Fraction]]:
-    """Stack spinor fields into an exact coefficient matrix (rows = coordinates)."""
-    coords: set[tuple[int, Exponents]] = set()
-    for field in fields:
-        for m, p in enumerate(field.components):
-            coords.update((m, e) for e in p.terms)
-    ordered = sorted(coords)
+def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[list[Fraction]]:
+    """Exact coefficient matrix of a tuple of spinor fields per column.
+
+    Rows are the (slot, component, monomial) coordinates that occur, sorted.
+    """
+    coords: set[tuple[int, int, Exponents]] = set()
+    for fields in columns:
+        for slot, field in enumerate(fields):
+            for m, p in enumerate(field.components):
+                coords.update((slot, m, e) for e in p.terms)
     return [
-        [field.components[m].coefficient(e) for field in fields]
-        for (m, e) in ordered
+        [fields[slot].components[m].coefficient(e) for fields in columns]
+        for (slot, m, e) in sorted(coords)
     ]
 
 
@@ -114,6 +112,5 @@ def transform_is_injective_on(sections: list[CochainSection]) -> bool:
     """True iff no nonzero rational combination of the sections has zero image."""
     if not sections:
         return True
-    images = [penrose_transform(s) for s in sections]
-    rows = spinor_coefficient_rows(images)
+    rows = spinor_coefficient_rows([[penrose_transform(s)] for s in sections])
     return not exact_nullspace(rows, n_cols=len(sections))

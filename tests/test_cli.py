@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import monogenic
+from monogenic.calibration import CalibrationConfig, read_config, write_config
 from monogenic.cli import main
 
 pytestmark = pytest.mark.usefixtures("workdir")
@@ -128,6 +130,38 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "transform", "--section", "zeta1^-1 + q")
     assert code == 2
     assert "unknown identifier" in err
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["1" * 5000 + "*z0*zeta1^-1", "z0^" + "1" * 5000, "1/" + "1" * 5000 + "*z0"],
+    ids=["coefficient", "exponent", "denominator"],
+)
+def test_overlong_numeral_is_a_parse_error(workdir, capsys, section):
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    code, out, err = run(capsys, "weight", "--section", section)
+    assert code == 2
+    assert "too long" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "config, problem",
+    [
+        ("epsilon = +1\nclifford_norm = 1/1\nbogus = 7\n", "unknown key 'bogus' on line 3"),
+        ("epsilon = +1\nclifford_norm = 1/1\nclifford_norm = 2\n", "repeated key 'clifford_norm' on line 3"),
+        ("epsilon = +1\nweight\nclifford_norm = 1/1\n", "no '=' on line 2"),
+    ],
+    ids=["unknown", "repeated", "no-equals"],
+)
+def test_malformed_config_lines_are_rejected(workdir, capsys, config, problem):
+    path = write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    assert read_config(workdir) == CalibrationConfig(epsilon=1, clifford_norm=Fraction(1))
+    path.write_text(config)
+    code, out, err = run(capsys, "weight", "--section", "z0")
+    assert code == 3
+    assert problem in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_internal_check_exit_code(capsys, monkeypatch):

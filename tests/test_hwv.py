@@ -75,6 +75,70 @@ ALL_LABELS = [
 ]
 
 
+# Canonical hwv_complete strings for the labels with l >= 1 and degree <= 4.
+# Each label has a trivial subspace of positive dimension, so these pin the
+# representative's reduction modulo it, not only the raising solve.
+PINNED_BODIES = {
+    (0, 1, 1): (
+        "z0 * z11 * zeta1^-1 * zeta2^-1 * zeta3^-1 + 1/6 * z11^2 * z22 * "
+        "zeta1^-1 * zeta2^-1 * zeta3^-2 - 1/6 * z11^2 * z32 * zeta1^-1 * "
+        "zeta2^-2 * zeta3^-1 - 1/6 * z11 * z12 * z21 * zeta1^-1 * zeta2^-1 * "
+        "zeta3^-2 + 1/6 * z11 * z12 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-1 + "
+        "1/6 * z11 * z21 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-1 - 1/6 * z11 * "
+        "z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-1"
+    ),
+    (0, 2, 1): (
+        "z0 * z11^2 * zeta1^-1 * zeta2^-1 * zeta3^-1 + 1/7 * z11^3 * z22 * "
+        "zeta1^-1 * zeta2^-1 * zeta3^-2 - 1/7 * z11^3 * z32 * zeta1^-1 * "
+        "zeta2^-2 * zeta3^-1 - 1/7 * z11^2 * z12 * z21 * zeta1^-1 * zeta2^-1 * "
+        "zeta3^-2 + 1/7 * z11^2 * z12 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-1 + "
+        "1/7 * z11^2 * z21 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-1 - 1/7 * z11^2 "
+        "* z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-1"
+    ),
+    (1, 0, 1): (
+        "z0 * z11 * z22 * zeta1^-1 * zeta2^-1 * zeta3^-1 - z0 * z12 * z21 * "
+        "zeta1^-1 * zeta2^-1 * zeta3^-1 + 1/7 * z11^2 * z22^2 * zeta1^-1 * "
+        "zeta2^-1 * zeta3^-2 - 1/7 * z11^2 * z22 * z32 * zeta1^-1 * zeta2^-2 * "
+        "zeta3^-1 - 2/7 * z11 * z12 * z21 * z22 * zeta1^-1 * zeta2^-1 * "
+        "zeta3^-2 + 1/7 * z11 * z12 * z21 * z32 * zeta1^-1 * zeta2^-2 * "
+        "zeta3^-1 + 1/7 * z11 * z12 * z22 * z31 * zeta1^-1 * zeta2^-2 * "
+        "zeta3^-1 + 1/7 * z11 * z21 * z22 * z32 * zeta1^-2 * zeta2^-1 * "
+        "zeta3^-1 - 1/7 * z11 * z22^2 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-1 + "
+        "1/7 * z12^2 * z21^2 * zeta1^-1 * zeta2^-1 * zeta3^-2 - 1/7 * z12^2 * "
+        "z21 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-1 - 1/7 * z12 * z21^2 * z32 * "
+        "zeta1^-2 * zeta2^-1 * zeta3^-1 + 1/7 * z12 * z21 * z22 * z31 * "
+        "zeta1^-2 * zeta2^-1 * zeta3^-1"
+    ),
+    (0, 0, 2): (
+        "z0^2 * zeta1^-1 * zeta2^-1 * zeta3^-1 + 2/5 * z0 * z11 * z22 * "
+        "zeta1^-1 * zeta2^-1 * zeta3^-2 - 2/5 * z0 * z11 * z32 * zeta1^-1 * "
+        "zeta2^-2 * zeta3^-1 - 2/5 * z0 * z12 * z21 * zeta1^-1 * zeta2^-1 * "
+        "zeta3^-2 + 2/5 * z0 * z12 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-1 + 2/5 "
+        "* z0 * z21 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-1 - 2/5 * z0 * z22 * "
+        "z31 * zeta1^-2 * zeta2^-1 * zeta3^-1 - 1/5 * z11^2 * z22 * z32 * "
+        "zeta1^-1 * zeta2^-2 * zeta3^-2 - 2/5 * z11 * z12 * z21 * z22 * "
+        "zeta1^-1 * zeta2^-1 * zeta3^-3 - 1/5 * z11 * z12 * z21 * z32 * "
+        "zeta1^-1 * zeta2^-2 * zeta3^-2 - 1/5 * z11 * z12 * z22 * z31 * "
+        "zeta1^-1 * zeta2^-2 * zeta3^-2 - 2/5 * z11 * z12 * z31 * z32 * "
+        "zeta1^-1 * zeta2^-3 * zeta3^-1 - 1/5 * z11 * z21 * z22 * z32 * "
+        "zeta1^-2 * zeta2^-1 * zeta3^-2 - 1/5 * z11 * z21 * z32^2 * zeta1^-2 * "
+        "zeta2^-2 * zeta3^-1 - 1/5 * z11 * z22^2 * z31 * zeta1^-2 * zeta2^-1 * "
+        "zeta3^-2 - 1/5 * z11 * z22 * z31 * z32 * zeta1^-2 * zeta2^-2 * "
+        "zeta3^-1 - 1/5 * z12^2 * z21 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-2 - "
+        "1/5 * z12 * z21^2 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-2 - 1/5 * z12 * "
+        "z21 * z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-2 - 1/5 * z12 * z21 * "
+        "z31 * z32 * zeta1^-2 * zeta2^-2 * zeta3^-1 - 1/5 * z12 * z22 * z31^2 * "
+        "zeta1^-2 * zeta2^-2 * zeta3^-1 - 2/5 * z21 * z22 * z31 * z32 * "
+        "zeta1^-3 * zeta2^-1 * zeta3^-1"
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_BODIES))
+def test_complete_pinned_strings(label):
+    assert hwv_complete(label).body.to_string() == PINNED_BODIES[label]
+
+
 def test_round_trip_all_labels_up_to_degree_four():
     assert len(ALL_LABELS) == 14
     for a, b, l in ALL_LABELS:

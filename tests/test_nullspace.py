@@ -1,5 +1,5 @@
-"""Exact nullspace via fraction-free elimination, checked against a plain
-rational Gauss oracle on random matrices."""
+"""Exact rref and nullspace via fraction-free elimination, checked against a
+textbook rational Gauss-Jordan oracle on random and rank-deficient matrices."""
 
 import random
 from fractions import Fraction
@@ -7,14 +7,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monogenic.laurent import exact_nullspace, matrix_rank
+from monogenic.laurent import exact_nullspace, matrix_rank, rref
 
 
-def plain_gauss_rank(rows, n_cols):
-    # Independent oracle: textbook division-based elimination over Fraction.
+def plain_gauss_jordan(rows, n_cols):
+    # Independent oracle: textbook division-based Gauss-Jordan over Fraction;
+    # returns the nonzero rows of the reduced row echelon form and the pivots.
     m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
+    pivots = []
     for c in range(n_cols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
@@ -25,8 +27,23 @@ def plain_gauss_rank(rows, n_cols):
             if i != rank and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def oracle_nullspace(rows, n_cols):
+    # The canonical basis: one vector per free column f of the oracle's RREF,
+    # with v[f] = 1, zero at the other free columns, and v[pivot] = -R[r][f].
+    reduced, pivots = plain_gauss_jordan(rows, n_cols)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(c == f)) for c in range(n_cols)]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def test_identity_has_empty_nullspace():
@@ -56,7 +73,7 @@ def test_random_50_by_80_rank_nullity():
     basis = exact_nullspace(rows, n_cols=80)
     rank = matrix_rank(rows, n_cols=80)
     assert rank + len(basis) == 80
-    assert rank == plain_gauss_rank(rows, 80)
+    assert rank == len(plain_gauss_jordan(rows, 80)[1])
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -82,7 +99,35 @@ def test_nullspace_properties(data):
     rows, n_cols = data
     basis = exact_nullspace(rows, n_cols=n_cols)
     assert matrix_rank(rows, n_cols=n_cols) + len(basis) == n_cols
-    assert matrix_rank(rows, n_cols=n_cols) == plain_gauss_rank(rows, n_cols)
+    assert matrix_rank(rows, n_cols=n_cols) == len(plain_gauss_jordan(rows, n_cols)[1])
     for v in basis:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    # Fresh rows mixed with repeats, nonzero multiples of earlier rows and
+    # zero rows, so ranks below min(rows, cols) and zero pivots are common.
+    n_cols = draw(st.integers(1, 6))
+    entries = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4)
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kinds = ("fresh", "repeat", "scaled", "zero") if rows else ("fresh",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            rows.append([draw(entries) for _ in range(n_cols)])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * n_cols)
+        else:
+            factor = 1 if kind == "repeat" else draw(entries.filter(bool))
+            rows.append([factor * v for v in draw(st.sampled_from(rows))])
+    return rows, n_cols
+
+
+@given(st.one_of(small_matrices(), rank_deficient_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_rref_and_nullspace_match_the_gauss_jordan_oracle(data):
+    rows, n_cols = data
+    assert rref(rows, n_cols) == plain_gauss_jordan(rows, n_cols)
+    assert exact_nullspace(rows, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
