@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .charts import BASE
+from .charts import BASE, TWISTOR
 from .dirac import DiracOperator, build_dirac, is_monogenic
-from .laurent import InternalCheckError, LaurentPoly, PreconditionError
+from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
 from .transform import SpinorField, penrose_transform
 
 CONFIG_FILENAME = "penrose-calibration.txt"
@@ -48,10 +48,11 @@ def reference_monogenic_spinors() -> tuple[SpinorField, SpinorField, SpinorField
     first = SpinorField((_mono({"x2_11": 2}), zero, zero, zero))
     det2 = _mono({"x2_11": 1, "x2_22": 1}) - _mono({"x2_21": 1, "x2_12": 1})
     second = SpinorField((det2, zero, zero, zero))
-    bilinear = LaurentPoly.zero(BASE)
-    for i in (1, 2, 3):
-        bilinear = bilinear + _mono({f"x1_{i}1": 1, f"x2_{i}2": 1}, Fraction(1, 2))
-        bilinear = bilinear - _mono({f"x2_{i}1": 1, f"x1_{i}2": 1}, Fraction(1, 2))
+    bilinear = LaurentPoly.sum(BASE, (
+        _mono({f"x1_{i}1": 1, f"x2_{i}2": 1}, Fraction(1, 2))
+        - _mono({f"x2_{i}1": 1, f"x1_{i}2": 1}, Fraction(1, 2))
+        for i in (1, 2, 3)
+    ))
     third = SpinorField(
         (
             _mono({"x12": 1}, 3) + bilinear,
@@ -97,7 +98,7 @@ def build_calibrated(config: CalibrationConfig) -> DiracOperator:
 
 
 def format_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{number_text(value.numerator)}/{number_text(value.denominator)}"
 
 
 def write_config(config: CalibrationConfig, directory: Path | str = ".") -> Path:
@@ -148,7 +149,7 @@ def companion_third_section():
     """The four-term section bundled with the third reference spinor."""
     from .cochain import CochainSection
 
-    total = CochainSection.monomial(s0=1, poles=(1, 1, 1))
+    terms = [CochainSection.monomial(s0=1, poles=(1, 1, 1))]
     for z, poles, sign in (
         ({"z22": 1, "z31": 1}, (2, 1, 1), -1),
         ({"z21": 1, "z32": 1}, (2, 1, 1), 1),
@@ -157,8 +158,8 @@ def companion_third_section():
         ({"z12": 1, "z21": 1}, (1, 1, 2), -1),
         ({"z11": 1, "z22": 1}, (1, 1, 2), 1),
     ):
-        total = total + CochainSection.monomial(z=z, poles=poles, coeff=sign)
-    return total
+        terms.append(CochainSection.monomial(z=z, poles=poles, coeff=sign))
+    return CochainSection(LaurentPoly.sum(TWISTOR, (t.body for t in terms)))
 
 
 def _compare(lhs: SpinorField, rhs: SpinorField) -> list[dict]:

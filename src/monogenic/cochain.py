@@ -194,15 +194,11 @@ def g0_action(root: str, section: CochainSection) -> CochainSection:
     """Act by one root on a section: table derivation plus the E12 twist."""
     if root not in ROOT_NAMES:
         raise PreconditionError(f"unknown root {root!r}")
-    table = _TABLES[root]
-    out = LaurentPoly.zero(TWISTOR)
-    for name, value in table.items():
-        d = section.body.derivative(name)
-        if not d.is_zero():
-            out = out + value * d
+    derivatives = ((value, section.body.derivative(name)) for name, value in _TABLES[root].items())
+    parts = [value * d for value, d in derivatives if not d.is_zero()]
     if root == "E12":
-        out = out + _E12_TWIST * section.body
-    return CochainSection(out)
+        parts.append(_E12_TWIST * section.body)
+    return CochainSection(LaurentPoly.sum(TWISTOR, parts))
 
 
 def cartan_action(
@@ -230,16 +226,15 @@ def cartan_action(
     for i in (1, 2, 3):
         for j in (1, 2):
             coeff[f"z{i}{j}"] = a[0] + a[i] + al[j - 1]
-    out = LaurentPoly.zero(TWISTOR)
-    for name, c in coeff.items():
-        if c:
-            d = section.body.derivative(name)
-            if not d.is_zero():
-                out = out + (LaurentPoly.variable(TWISTOR, name) * d).scale(c)
+    parts = [
+        (LaurentPoly.variable(TWISTOR, name) * section.body.derivative(name)).scale(c)
+        for name, c in coeff.items()
+        if c
+    ]
     twist = 5 * a[0] + Fraction(5, 2) * (al[0] + al[1])
     if twist:
-        out = out + section.body.scale(twist)
-    return CochainSection(out)
+        parts.append(section.body.scale(twist))
+    return CochainSection(LaurentPoly.sum(TWISTOR, parts))
 
 
 # ------------------------------------------------------ triviality certificate

@@ -31,6 +31,7 @@ from .laurent import (
     LaurentPoly,
     PreconditionError,
     Scalar,
+    accumulate,
     matrix_rank,
 )
 from .transform import SpinorField
@@ -172,21 +173,17 @@ def apply_2dirac(op: DiracOperator, spinor: SpinorField) -> tuple[tuple, tuple]:
     """Both component operators applied to a spinor field (exactly)."""
     results = []
     for stencil in op.stencils:
-        zero = LaurentPoly.zero(BASE)
-        components = [zero, zero, zero, zero]
+        parts: list[list[LaurentPoly]] = [[], [], [], []]
         for matrix, var, correction in stencil:
-            derived: dict[int, LaurentPoly] = {}
             for nu in range(4):
                 if any(matrix[mu][nu] for mu in range(4)):
                     field = spinor.components[nu].derivative(var)
                     if not correction.is_zero():
                         field = field + correction * spinor.components[nu].derivative("x12")
-                    derived[nu] = field
-            for mu in range(4):
-                for nu, field in derived.items():
-                    if matrix[mu][nu]:
-                        components[mu] = components[mu] + field.scale(matrix[mu][nu])
-        results.append(tuple(components))
+                    for mu in range(4):
+                        if matrix[mu][nu]:
+                            parts[mu].append(field.scale(matrix[mu][nu]))
+        results.append(tuple(LaurentPoly.sum(BASE, p) for p in parts))
     return tuple(results)
 
 
@@ -222,15 +219,6 @@ def _column_image(
     """Sparse image of the basis spinor (monomial `exps` in slot nu)."""
     image: dict[tuple[int, int, Exponents], Fraction] = {}
     x12 = BASE.index["x12"]
-
-    def add(j: int, mu: int, e: Exponents, c: Fraction) -> None:
-        key = (j, mu, e)
-        s = image.get(key, Fraction(0)) + c
-        if s:
-            image[key] = s
-        else:
-            image.pop(key, None)
-
     for j, stencil in enumerate(op.stencils):
         for matrix, var, correction in stencil:
             column = [matrix[mu][nu] for mu in range(4)]
@@ -248,10 +236,12 @@ def _column_image(
                 for cexps, ccoeff in correction.terms.items():
                     shifted = tuple(a + b for a, b in zip(lowered, cexps))
                     pieces.append((shifted, Fraction(exps[x12]) * ccoeff))
-            for mu in range(4):
-                if column[mu]:
-                    for e, c in pieces:
-                        add(j, mu, e, column[mu] * c)
+            accumulate(image, (
+                ((j, mu, e), column[mu] * c)
+                for mu in range(4)
+                if column[mu]
+                for e, c in pieces
+            ))
     return image
 
 
@@ -266,20 +256,14 @@ def graded_kernel_dim(op: DiracOperator, k: int) -> int:
     columns = [(nu, exps) for nu in range(4) for exps in basis]
     images = {col: _column_image(op, *col) for col in columns}
 
-    parent: dict = {}
+    row_id: dict[tuple[int, int, Exponents], int] = {}
+    parent: list[int] = []
 
-    def find(x):
-        root = x
-        while parent.get(root, root) is not root:
-            root = parent[root]
-        while parent.get(x, x) is not x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
 
     nullity = 0
     live_columns = []
@@ -288,13 +272,14 @@ def graded_kernel_dim(op: DiracOperator, k: int) -> int:
             nullity += 1  # annihilated outright (e.g. constants)
             continue
         live_columns.append(col)
-        rows = list(image)
-        for other in rows[1:]:
-            union(rows[0], other)
+        ids = [row_id.setdefault(key, len(row_id)) for key in image]
+        parent.extend(range(len(parent), len(row_id)))
+        for other in ids[1:]:
+            parent[find(other)] = find(ids[0])
 
-    groups: dict = {}
+    groups: dict[int, list] = {}
     for col in live_columns:
-        root = find(next(iter(images[col])))
+        root = find(row_id[next(iter(images[col]))])
         groups.setdefault(root, []).append(col)
 
     for cols in groups.values():

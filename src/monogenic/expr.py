@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .charts import BASE, TWISTOR, ZETA_VARS
 from .cochain import CochainSection
-from .laurent import Alphabet, LaurentPoly
+from .laurent import Alphabet, LaurentPoly, accumulate, format_terms
 from .transform import SpinorField
 
 
@@ -179,14 +179,10 @@ class _Parser:
 
 
 def _normalize(raw_terms: list[tuple[Fraction, dict[str, int]]]) -> ExprAST:
-    merged: dict[tuple[tuple[str, int], ...], Fraction] = {}
-    for coefficient, powers in raw_terms:
-        key = tuple(sorted((n, e) for n, e in powers.items() if e))
-        total = merged.get(key, Fraction(0)) + coefficient
-        if total:
-            merged[key] = total
-        else:
-            merged.pop(key, None)
+    merged: dict[tuple[tuple[str, int], ...], Fraction] = accumulate({}, (
+        (tuple(sorted((n, e) for n, e in powers.items() if e)), coefficient)
+        for coefficient, powers in raw_terms
+    ))
 
     def grade(key: tuple[tuple[str, int], ...]) -> tuple:
         return (sum(e for _, e in key), key)
@@ -201,10 +197,10 @@ def parse_expr(text: str, context: Context) -> ExprAST:
 
 def to_poly(ast: ExprAST, context: Context) -> LaurentPoly:
     alphabet = context.alphabet
-    poly = LaurentPoly.zero(alphabet)
-    for term in ast.terms:
-        poly = poly + LaurentPoly.monomial(alphabet, dict(term.powers), term.coefficient)
-    return poly
+    return LaurentPoly.sum(alphabet, (
+        LaurentPoly.monomial(alphabet, dict(term.powers), term.coefficient)
+        for term in ast.terms
+    ))
 
 
 def parse_section(text: str) -> CochainSection:
@@ -229,17 +225,4 @@ def format_poly(poly: LaurentPoly) -> str:
 
 def format_ast(ast: ExprAST) -> str:
     """Canonical text of a normalized AST; reparses to an equal AST."""
-    if not ast.terms:
-        return "0"
-    pieces = []
-    for n, term in enumerate(ast.terms):
-        factors = [f"{name}^{e}" if e != 1 else name for name, e in term.powers]
-        mag = abs(term.coefficient)
-        if not factors or mag != 1:
-            factors.insert(0, str(mag))
-        body = " * ".join(factors)
-        if n == 0:
-            pieces.append(body if term.coefficient > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if term.coefficient > 0 else f"- {body}")
-    return " ".join(pieces)
+    return format_terms((term.powers, term.coefficient) for term in ast.terms)

@@ -18,6 +18,7 @@ positive denominator, arbitrary precision.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -80,6 +81,47 @@ class Alphabet:
                 raise PreconditionError(f"negative exponent on non-invertible variable {name!r}")
 
 
+def accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, Fraction) pairs into `out` in place, dropping zero sums; return `out`."""
+    for key, c in pairs:
+        old = out.get(key)
+        s = c if old is None else old + c  # a new key costs no Fraction arithmetic
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def number_text(value: Scalar) -> str:
+    """Decimal text of an int or Fraction; PreconditionError past the int-string limit."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"cannot print a number of more than {limit} digits") from None
+
+
+def format_terms(terms: Iterable[tuple[Iterable[tuple[str, int]], Fraction]]) -> str:
+    """Text of ((variable, nonzero exponent) pairs, coefficient) terms: ``3/2 * u^2 - v``.
+
+    Signs go into the ``+ ``/``- `` separators; a unit magnitude is omitted
+    unless the term is constant.
+    """
+    pieces: list[str] = []
+    for powers, coeff in terms:
+        factors = [f"{name}^{number_text(e)}" if e != 1 else name for name, e in powers]
+        mag = abs(coeff)
+        if not factors or mag != 1:
+            factors.insert(0, number_text(mag))
+        body = " * ".join(factors)
+        if pieces:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        else:
+            pieces.append(body if coeff > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
+
+
 def grlex_key(exps: Exponents):
     """Graded-lexicographic sort key (total grade first, then the vector)."""
     return (sum(exps), exps)
@@ -102,16 +144,20 @@ class LaurentPoly:
     # ------------------------------------------------------------------ build
     @classmethod
     def from_dict(cls, alphabet: Alphabet, terms: Mapping[Exponents, Scalar]) -> "LaurentPoly":
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
+        pairs = [(tuple(exps), Fraction(coeff)) for exps, coeff in terms.items()]
+        for exps, _ in pairs:
             alphabet.check_exponents(exps)
-            c = Fraction(coeff)
-            if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if not clean[exps]:
-                    del clean[exps]
-        return cls(alphabet, clean)
+        return cls(alphabet, accumulate({}, pairs))
+
+    @classmethod
+    def sum(cls, alphabet: Alphabet, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
+        """The sum of many polynomials over `alphabet`, merged into one dict."""
+        out: dict[Exponents, Fraction] = {}
+        for p in polys:
+            if p.alphabet != alphabet:
+                raise AlphabetMismatch(f"operands over {alphabet.names} vs {p.alphabet.names}")
+            accumulate(out, p.terms.items())
+        return cls(alphabet, out)
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "LaurentPoly":
@@ -154,9 +200,6 @@ class LaurentPoly:
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def exponent_of(self, name: str, exps: Exponents) -> int:
-        return exps[self.alphabet.index[name]]
-
     def degree_in(self, name: str) -> int:
         """Largest exponent of `name` over all terms (0 for the zero poly)."""
         i = self.alphabet.index[name]
@@ -182,14 +225,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return LaurentPoly(self.alphabet, out)
+        return LaurentPoly(self.alphabet, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.alphabet, {e: -c for e, c in self.terms.items()})
@@ -201,16 +237,12 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_same(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-        return LaurentPoly(self.alphabet, out)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return LaurentPoly(self.alphabet, accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -258,8 +290,6 @@ class LaurentPoly:
             if value.alphabet != target:
                 raise AlphabetMismatch(f"binding for {name!r} is not over the target alphabet")
 
-        values: list[LaurentPoly | None] = [bindings.get(name) for name in self.alphabet.names]
-
         for name in self.alphabet.names:
             if name not in bindings and name not in target.index:
                 # Only an error if the variable actually occurs.
@@ -269,82 +299,61 @@ class LaurentPoly:
                             f"variable {name!r} is unbound and missing from the target alphabet"
                         )
 
-        power_cache: dict[tuple[int, int], LaurentPoly] = {}
-
-        def bound_power(i: int, e: int) -> LaurentPoly:
-            key = (i, e)
-            if key not in power_cache:
-                value = values[i]
-                assert value is not None
-                if e >= 0:
-                    power_cache[key] = value ** e
-                else:
-                    power_cache[key] = value.inverse_monomial() ** (-e)
-            return power_cache[key]
-
-        out = LaurentPoly.zero(target)
+        power_cache: dict[tuple[str, int], LaurentPoly] = {}
+        out: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
             passthrough = [0] * len(target)
             term = None
-            for i, e in enumerate(exps):
+            for name, e in zip(self.alphabet.names, exps):
                 if e == 0:
                     continue
-                name = self.alphabet.names[i]
                 if name in bindings:
-                    if e < 0 and not bindings[name].is_monomial():
+                    value = bindings[name]
+                    if e < 0 and not value.is_monomial():
                         raise PreconditionError(
                             f"negative exponent on {name!r} needs an invertible monomial binding"
                         )
-                    factor = bound_power(i, e)
+                    if (name, e) not in power_cache:
+                        power_cache[name, e] = value ** e if e > 0 else value.inverse_monomial() ** -e
+                    factor = power_cache[name, e]
                     term = factor if term is None else term * factor
                 else:
                     passthrough[target.index[name]] += e
-            mono = LaurentPoly.from_dict(target, {tuple(passthrough): coeff})
-            out = out + (mono if term is None else mono * term)
-        return out
+            passthrough = tuple(passthrough)
+            target.check_exponents(passthrough)
+            products = term.terms.items() if term is not None else [(target.zero_exponents(), 1)]
+            accumulate(out, (
+                (tuple(a + b for a, b in zip(passthrough, e)), coeff * c) for e, c in products
+            ))
+        return LaurentPoly(target, out)
 
     def coefficient_of(self, names: Iterable[str], exponents: Iterable[int]) -> "LaurentPoly":
         """Coefficient polynomial of the given monomial in the given variables.
 
         The extracted variables come back with exponent zero; an absent
-        coefficient is the zero polynomial.
+        coefficient is the zero polynomial.  No terms merge: the kept terms
+        agree on the zeroed slots.
         """
         names = tuple(names)
         exponents = tuple(exponents)
-        if len(set(names)) != len(names):
-            raise PreconditionError("extraction variables must be distinct")
-        positions = [self.alphabet.index[n] for n in names]
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if all(exps[p] == e for p, e in zip(positions, exponents)):
-                reduced = list(exps)
-                for p in positions:
-                    reduced[p] = 0
-                key = tuple(reduced)
-                s = out.get(key, Fraction(0)) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return LaurentPoly(self.alphabet, out)
+        if len(set(names)) != len(names) or len(exponents) != len(names):
+            raise PreconditionError("extraction needs distinct variables, one exponent each")
+        fixed = {self.alphabet.index[n]: e for n, e in zip(names, exponents)}
+        return LaurentPoly(self.alphabet, {
+            tuple(0 if i in fixed else e for i, e in enumerate(exps)): coeff
+            for exps, coeff in self.terms.items()
+            if all(exps[p] == e for p, e in fixed.items())
+        })
 
     def derivative(self, name: str) -> "LaurentPoly":
         """Formal partial derivative; negative exponents follow the power rule."""
         i = self.alphabet.index[name]
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            reduced = list(exps)
-            reduced[i] = e - 1
-            key = tuple(reduced)
-            s = out.get(key, Fraction(0)) + coeff * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly(self.alphabet, out)
+        # Lowering one slot is injective and e != 0, so nothing merges or cancels.
+        return LaurentPoly(self.alphabet, {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
+            for exps, coeff in self.terms.items()
+            if exps[i]
+        })
 
     def project(self, target: Alphabet) -> "LaurentPoly":
         """Re-express over `target`; variables dropped must have exponent 0."""
@@ -369,24 +378,10 @@ class LaurentPoly:
     # ------------------------------------------------------------------ print
     def to_string(self) -> str:
         """Canonical text form, e.g. ``3/2 * z11^2 * zeta1^-1 - z0``."""
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for n, (exps, coeff) in enumerate(self.sorted_terms()):
-            factors = [
-                f"{name}^{e}" if e != 1 else name
-                for name, e in zip(self.alphabet.names, exps)
-                if e != 0
-            ]
-            mag = abs(coeff)
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            body = " * ".join(factors)
-            if n == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+        return format_terms(
+            ([(name, e) for name, e in zip(self.alphabet.names, exps) if e], coeff)
+            for exps, coeff in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_string()})"
@@ -461,16 +456,11 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        zero = LaurentPoly.zero(self.alphabet)
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            out.append(row)
+        columns = list(zip(*other.entries))
+        out = [
+            [LaurentPoly.sum(self.alphabet, (a * b for a, b in zip(row, col))) for col in columns]
+            for row in self.entries
+        ]
         return PolyMatrix(self.alphabet, out)
 
     def is_zero(self) -> bool:

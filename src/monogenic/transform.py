@@ -60,11 +60,6 @@ class SpinorField:
     def weighted_degrees(self) -> set[int]:
         return {weighted_degree(e) for p in self.components for e in p.terms}
 
-    def homogeneous_degree(self) -> int | None:
-        """The common weighted degree of all terms, or None if mixed/zero."""
-        degrees = self.weighted_degrees()
-        return degrees.pop() if len(degrees) == 1 else None
-
 
 @lru_cache(maxsize=None)
 def _weight_vector() -> tuple[LaurentPoly, ...]:

@@ -146,6 +146,22 @@ def test_overlong_numeral_is_a_parse_error(workdir, capsys, section):
 
 
 @pytest.mark.parametrize(
+    "command, variable",
+    [(["weight"], "z0"), (["act", "--root", "A12"], "z12")],
+    ids=["weight", "act"],
+)
+def test_overlong_merged_coefficient_is_a_precondition_error(workdir, capsys, command, variable):
+    # Each numeral is within the int-string limit; the merged coefficient is one digit longer.
+    limit = sys.get_int_max_str_digits()
+    term = "9" * limit + f"*{variable}*zeta1^-1"
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    code, out, err = run(capsys, *command, "--section", f"{term} + {term}")
+    assert code == 3
+    assert f"more than {limit} digits" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "config, problem",
     [
         ("epsilon = +1\nclifford_norm = 1/1\nbogus = 7\n", "unknown key 'bogus' on line 3"),

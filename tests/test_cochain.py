@@ -3,11 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from monogenic.charts import TWISTOR, Z_VARS, ZETA_VARS
 from monogenic.cochain import (
+    ROOT_NAMES,
     Certificate,
     CochainSection,
     Weight,
@@ -227,6 +231,42 @@ def test_actions_are_derivations_up_to_the_twist():
             - LaurentPoly.monomial(TWISTOR, {"zeta1": 1}, 5) * product.body
         )
         assert lhs == rhs
+
+
+def sections():
+    monomials = st.builds(
+        mono,
+        s0=st.integers(0, 2),
+        z=st.dictionaries(st.sampled_from(Z_VARS), st.integers(1, 2), max_size=3),
+        poles=st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 3)),
+        coeff=st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    )
+    return st.lists(monomials, min_size=2, max_size=6).map(
+        lambda parts: CochainSection(LaurentPoly.sum(TWISTOR, (m.body for m in parts)))
+    ).filter(lambda section: len(section.body.terms) >= 2)
+
+
+def fold_over_monomials(action, section):
+    # The former accumulation: the action on each monomial, summed by `+`.
+    total = CochainSection.zero()
+    for exps, coeff in section.body.terms.items():
+        total = total + action(CochainSection.from_terms({exps: coeff}))
+    return total
+
+
+@given(
+    sections(),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+)
+@settings(max_examples=40, deadline=None)
+def test_actions_are_the_fold_of_their_monomial_actions(section, gl2_diag, sl4_head):
+    for root in ROOT_NAMES:
+        assert g0_action(root, section) == fold_over_monomials(partial(g0_action, root), section)
+    sl4_diag = sl4_head + (-sum(sl4_head),)
+    assert cartan_action(section, gl2_diag, sl4_diag) == fold_over_monomials(
+        lambda f: cartan_action(f, gl2_diag, sl4_diag), section
+    )
 
 
 # ----------------------------------------------------------------- certificates

@@ -162,6 +162,8 @@ def test_coefficient_extraction_examples():
 def test_coefficient_extraction_requires_distinct_vars():
     with pytest.raises(PreconditionError):
         poly(MIXED, {}).coefficient_of(("u", "u"), (0, 0))
+    with pytest.raises(PreconditionError):
+        poly(MIXED, {}).coefficient_of(("u", "v"), (0,))
 
 
 @given(mixed_polys(), mixed_polys(), st.integers(-3, 3))
@@ -197,3 +199,83 @@ def test_derivative_is_a_derivation(p, q):
 def test_to_string_round_trips_layout():
     p = poly(MIXED, {(1, 0, -1): Fraction(3, 2), (0, 0, 0): -1})
     assert p.to_string() == "3/2 * u * zeta1^-1 - 1"
+
+
+# ----------------------------------------------------------- one accumulator
+BINDINGS = {
+    "u": LaurentPoly.variable(MIXED, "v") + LaurentPoly.constant(MIXED, 2),
+    "v": LaurentPoly.monomial(MIXED, {"u": 1, "zeta1": 1}),
+    "zeta1": LaurentPoly.variable(MIXED, "zeta1", -1),
+}
+PARTIAL_BINDINGS = {"u": BINDINGS["u"] - LaurentPoly.variable(MIXED, "zeta1", 2)}
+
+
+def assert_canonical(p):
+    assert all(type(c) is Fraction and c for c in p.terms.values()), p.terms
+
+
+def fold_sum(alphabet, polys):
+    total = LaurentPoly.zero(alphabet)
+    for p in polys:
+        total = total + p
+    return total
+
+
+def substitute_by_fold(p, bindings, target):
+    # The former substitution: one product per term, summed by `+`.
+    total = LaurentPoly.zero(target)
+    for exps, coeff in p.terms.items():
+        term = LaurentPoly.constant(target, coeff)
+        for name, e in zip(p.alphabet.names, exps):
+            if name not in bindings:
+                term = term * LaurentPoly.variable(target, name, e)
+            elif e >= 0:
+                term = term * bindings[name] ** e
+            else:
+                term = term * bindings[name].inverse_monomial() ** -e
+        total = total + term
+    return total
+
+
+@given(st.lists(mixed_polys(), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_sum_is_the_left_fold_of_addition(polys):
+    total = LaurentPoly.sum(MIXED, polys)
+    assert total == fold_sum(MIXED, polys)
+    assert_canonical(total)
+    assert LaurentPoly.sum(MIXED, polys + [-p for p in reversed(polys)]).is_zero()
+
+
+@given(st.lists(mixed_polys(), max_size=4), st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_sum_rejects_mixed_alphabets(polys, at):
+    polys.insert(min(at, len(polys)), LaurentPoly.variable(AB, "x"))
+    with pytest.raises(AlphabetMismatch):
+        LaurentPoly.sum(MIXED, polys)
+
+
+@given(mixed_polys(), mixed_polys())
+@settings(max_examples=40, deadline=None)
+def test_substitute_matches_the_fold_oracle(p, q):
+    for bindings in (BINDINGS, PARTIAL_BINDINGS):
+        assert p.substitute(bindings, MIXED) == substitute_by_fold(p, bindings, MIXED)
+        assert (p * q).substitute(bindings, MIXED) == substitute_by_fold(p * q, bindings, MIXED)
+
+
+@given(mixed_polys(), mixed_polys(), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_results_are_canonical(p, q, e):
+    results = [
+        p + q,
+        p - p,
+        p * q,
+        LaurentPoly.sum(MIXED, [p, q, -p]),
+        p.substitute(BINDINGS, MIXED),
+        (p * q).substitute(PARTIAL_BINDINGS, MIXED),
+        p.derivative("u"),
+        p.derivative("zeta1"),
+        p.coefficient_of(("zeta1",), (e,)),
+        (p * q).coefficient_of(("u", "zeta1"), (1, e)),
+    ]
+    for result in results:
+        assert_canonical(result)
