@@ -23,7 +23,7 @@ from .cochain import ROOT_NAMES, CochainSection, g0_action, weight_of_monomial
 from .dirac import apply_2dirac, graded_kernel_dim
 from .expr import ParseError, parse_section, parse_spinor
 from .hwv import hwv_complete
-from .laurent import InternalCheckError, LaurentPoly, PreconditionError
+from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
 from .repn import decompose_Mk
 from .transform import penrose_transform
 
@@ -125,6 +125,8 @@ def _cmd_weight(args, config) -> dict:
     for exps, coeff in section.body.sorted_terms():
         monomial = CochainSection(LaurentPoly.from_dict(section.body.alphabet, {exps: 1}))
         weight = weight_of_monomial(monomial)
+        for entry in weight.gl4:  # fail before anything is printed
+            number_text(entry)
         rows.append(
             {
                 "monomial": monomial.body.to_string(),

@@ -285,7 +285,7 @@ def graded_kernel_dim(op: DiracOperator, k: int) -> int:
     for cols in groups.values():
         row_keys = sorted({key for col in cols for key in images[col]})
         row_pos = {key: r for r, key in enumerate(row_keys)}
-        dense = [[Fraction(0)] * len(cols) for _ in row_keys]
+        dense = [[0] * len(cols) for _ in row_keys]
         for c, col in enumerate(cols):
             for key, value in images[col].items():
                 dense[row_pos[key]][c] = value

@@ -9,10 +9,10 @@ space (z0 degree at most l, pole orders determined by the row sums), and the
 raising conditions become an exact linear system over it.  The solution is
 unique only at the level of classes: the candidate space contains combinations
 whose class and whose raised classes all vanish.  That trivial subspace is
-one exact nullspace, of the raising rows stacked over the image rows; the
-solver quotients by it and returns the canonical representative with zeros
-in its pivot coordinates, normalized so the designated leading monomial
-z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
+one exact nullspace, of the reduced raising rows stacked over the image
+rows; the solver quotients by it and returns the canonical representative
+with zeros in its pivot coordinates, normalized so the designated leading
+monomial z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 """
 
 from __future__ import annotations
@@ -95,20 +95,22 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
         [penrose_transform(g0_action(root, cand)) for root in POSITIVE_SIMPLE_ROOTS]
         for cand in candidates
     ]
-    constraint_rows = _stacked_rows(raised_images)
-    solutions = exact_nullspace(constraint_rows, n_cols=len(candidates))
+    n = len(candidates)
+    # The raising rows are eliminated once; both nullspaces start from their RREF.
+    reduced_constraints, _ = rref(_stacked_rows(raised_images), n)
+    solutions = exact_nullspace(reduced_constraints, n_cols=n)
     if not solutions:
         raise InternalCheckError(f"no highest weight solution for label {label}")
 
     # Trivial subspace: combinations killed by both the raising and the image rows.
     image_rows = _stacked_rows([[penrose_transform(cand)] for cand in candidates])
-    trivial = exact_nullspace(constraint_rows + image_rows, n_cols=len(candidates))
+    trivial = exact_nullspace(reduced_constraints + image_rows, n_cols=n)
     if len(solutions) - len(trivial) != 1:
         raise InternalCheckError(
             f"label {label}: solution space has class dimension "
             f"{len(solutions) - len(trivial)}, expected 1"
         )
-    reduced_trivial, trivial_pivots = rref(trivial, len(candidates))
+    reduced_trivial, trivial_pivots = rref(trivial, n)
 
     def remainder(vector: list[Fraction]) -> list[Fraction]:
         for row, pivot in zip(reduced_trivial, trivial_pivots):

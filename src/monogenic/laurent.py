@@ -469,17 +469,24 @@ class PolyMatrix:
 
 # ------------------------------------------------------------- exact nullspace
 def _integerize(row: list[Scalar]) -> list[int]:
-    fracs = [Fraction(v) for v in row]
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    return [int(f * lcm) for f in fracs]
+    lcm = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (lcm // v.denominator) for v in row]
 
 
-def _bareiss_echelon(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row echelon form; returns (matrix, pivot columns)."""
-    m = [_integerize(row) for row in rows]
+def _primitive(row: list[int]) -> list[int]:
+    content = math.gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def _echelon(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form on primitive rows; returns (matrix, pivot columns).
+
+    Below a pivot only a row with a nonzero entry e in its column changes: it
+    becomes (piv/g)*row - (e/g)*pivot_row, g = gcd(piv, e), divided by its content.
+    """
+    m = [_primitive(_integerize(row)) for row in rows]
     n_rows = len(m)
     pivots: list[int] = []
-    prev = 1
     r = 0
     for c in range(n_cols):
         if r >= n_rows:
@@ -491,16 +498,14 @@ def _bareiss_echelon(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[i
                 best = i
         if best is None:
             continue
-        if best != r:
-            m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
+        m[r], m[best] = m[best], m[r]
+        piv, tail_r = m[r][c], m[r][c:]
         for i in range(r + 1, n_rows):
             mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for k in range(c, n_cols):
-                row_i[k] = (piv * row_i[k] - mic * row_r[k]) // prev
-        prev = piv
+            if mic:
+                g = math.gcd(piv, mic)
+                a, b = piv // g, mic // g
+                m[i][c:] = _primitive([a * x - b * y for x, y in zip(m[i][c:], tail_r)])
         pivots.append(c)
         r += 1
     return m, pivots
@@ -512,17 +517,17 @@ def matrix_rank(rows: list[list[Scalar]], n_cols: int | None = None) -> int:
         return 0
     if n_cols is None:
         n_cols = len(rows[0])
-    _, pivots = _bareiss_echelon(rows, n_cols)
+    _, pivots = _echelon(rows, n_cols)
     return len(pivots)
 
 
 def rref(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals: (nonzero rows, pivot columns).
 
-    The Bareiss echelon form is back-reduced from its last pivot up, so each
+    The integer echelon form is back-reduced from its last pivot up, so each
     row is divided once by its pivot and cleared only at the later pivots.
     """
-    m, pivots = _bareiss_echelon(rows, n_cols)
+    m, pivots = _echelon(rows, n_cols)
     reduced: list[list[Fraction]] = [[] for _ in pivots]
     for r in range(len(pivots) - 1, -1, -1):
         head = m[r][pivots[r]]

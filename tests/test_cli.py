@@ -161,6 +161,18 @@ def test_overlong_merged_coefficient_is_a_precondition_error(workdir, capsys, co
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_overlong_weight_entry_is_a_precondition_error(workdir, capsys, fmt):
+    # Each exponent is within the int-string limit; the gl(4) entry 5 - 2N is not.
+    limit = sys.get_int_max_str_digits()
+    n = "9" * limit
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    code, out, err = run(capsys, "weight", "--section", f"zeta1^-{n}*zeta2^-{n}", "--format", fmt)
+    assert code == 3
+    assert f"more than {limit} digits" in err and "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "config, problem",
     [

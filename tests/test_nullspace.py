@@ -1,6 +1,8 @@
-"""Exact rref and nullspace via fraction-free elimination, checked against a
-textbook rational Gauss-Jordan oracle on random and rank-deficient matrices."""
+"""Exact rank, rref and nullspace via integer elimination on primitive rows,
+checked against a Bareiss rank and a textbook rational Gauss-Jordan oracle on
+random, rank-deficient and sparse matrices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +31,36 @@ def plain_gauss_jordan(rows, n_cols):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         pivots.append(c)
     return m[: len(pivots)], pivots
+
+
+def bareiss_rank(rows, n_cols):
+    # Independent oracle: Bareiss (1968) fraction-free elimination, which
+    # rescales every row below each pivot and divides exactly by the previous
+    # pivot; returns the number of pivots.
+    m = []
+    for row in rows:
+        fracs = [Fraction(v) for v in row]
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        m.append([int(f * lcm) for f in fracs])
+    prev, r = 1, 0
+    for c in range(n_cols):
+        if r >= len(m):
+            break
+        best = None
+        for i in range(r, len(m)):
+            if m[i][c] and (best is None or abs(m[i][c]) < abs(m[best][c])):
+                best = i
+        if best is None:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, len(m)):
+            mic = m[i][c]
+            for k in range(c, n_cols):
+                m[i][k] = (piv * m[i][k] - mic * m[r][k]) // prev
+        prev = piv
+        r += 1
+    return r
 
 
 def oracle_nullspace(rows, n_cols):
@@ -125,9 +157,43 @@ def rank_deficient_matrices(draw):
     return rows, n_cols
 
 
-@given(st.one_of(small_matrices(), rank_deficient_matrices()))
-@settings(max_examples=150, deadline=None)
+@st.composite
+def sparse_matrices(draw):
+    # Mostly-zero matrices over (1/2)Z, possibly with 0 rows or 0 columns:
+    # fresh rows, rows zero up to a drawn column (so zero in early pivot
+    # columns), repeats, nonzero multiples of earlier rows and zero rows.
+    # Zeros are ints and the other entries Fractions, as in the Dirac blocks.
+    n_cols = draw(st.integers(0, 8))
+    halves = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+
+    def sparse_row(start=0):
+        return [
+            draw(halves) if c >= start and draw(st.integers(0, 3)) == 0 else 0
+            for c in range(n_cols)
+        ]
+
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kinds = ("fresh", "late", "repeat", "scaled", "zero") if rows else ("fresh", "late", "zero")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fresh":
+            rows.append(sparse_row())
+        elif kind == "late":
+            rows.append(sparse_row(draw(st.integers(0, n_cols))))
+        elif kind == "zero":
+            rows.append([0] * n_cols)
+        else:
+            factor = 1 if kind == "repeat" else draw(halves.filter(bool))
+            rows.append([factor * v for v in draw(st.sampled_from(rows))])
+    return rows, n_cols
+
+
+@given(st.one_of(sparse_matrices(), small_matrices(), rank_deficient_matrices()))
+@settings(max_examples=300, deadline=None)
 def test_rref_and_nullspace_match_the_gauss_jordan_oracle(data):
+    # The rank is checked against the Bareiss oracle as well.
     rows, n_cols = data
-    assert rref(rows, n_cols) == plain_gauss_jordan(rows, n_cols)
+    reduced, pivots = plain_gauss_jordan(rows, n_cols)
+    assert matrix_rank(rows, n_cols=n_cols) == bareiss_rank(rows, n_cols) == len(pivots)
+    assert rref(rows, n_cols) == (reduced, pivots)
     assert exact_nullspace(rows, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
