@@ -26,16 +26,18 @@ def run(config: AuditConfig) -> bool:
     op = build_calibrated(calibration)
     print(f"calibration: epsilon={calibration.epsilon:+d}, norm={calibration.clifford_norm}")
     all_ok = True
+    start = time.perf_counter()
     for k in range(config.max_degree + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         nullity = graded_kernel_dim(op, k)
         weyl = sum(desc.dimension for _, desc in decompose_Mk(k))
         ok = nullity == weyl
         all_ok &= ok
         print(
             f"degree {k}: nullspace {nullity:>6}  formulas {weyl:>6}  "
-            f"{'ok' if ok else 'MISMATCH'}  ({time.time() - t0:.2f}s)"
+            f"{'ok' if ok else 'MISMATCH'}  ({time.perf_counter() - t0:.2f}s)"
         )
+    print(f"total: {'ok' if all_ok else 'MISMATCH'}  ({time.perf_counter() - start:.2f}s)")
     return all_ok
 
 

@@ -27,6 +27,10 @@ from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_
 from .repn import decompose_Mk
 from .transform import penrose_transform
 
+# Input budgets: past these an exact run takes minutes to hours, not seconds.
+KERNEL_DEGREE_LIMIT = 8  # the largest degree measured, about a minute on one core
+HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
+
 
 def _calibration_fields(config: calibration.CalibrationConfig) -> dict:
     return {
@@ -171,8 +175,8 @@ def _cmd_check_monogenic(args, config) -> dict:
 
 
 def _cmd_kernel_dim(args, config) -> dict:
-    if args.degree < 0:
-        raise PreconditionError("degree must be non-negative")
+    if not 0 <= args.degree <= KERNEL_DEGREE_LIMIT:
+        raise PreconditionError(f"degree must lie in 0..{KERNEL_DEGREE_LIMIT}, the kernel-dim limit")
     op = calibration.build_calibrated(config)
     dim = graded_kernel_dim(op, args.degree)
     return _document(
@@ -204,6 +208,8 @@ def _cmd_decompose(args, config) -> dict:
 
 
 def _cmd_hwv(args, config) -> dict:
+    if 2 * args.a + args.b + 2 * args.l > HWV_DEGREE_LIMIT:
+        raise PreconditionError(f"label degree 2a + b + 2l is over the hwv limit {HWV_DEGREE_LIMIT}")
     section = hwv_complete((args.a, args.b, args.l))
     image = penrose_transform(section)
     return _document(

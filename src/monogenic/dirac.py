@@ -20,9 +20,12 @@ is what makes the graded kernels finite-dimensional and exactly computable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
+from operator import add
 from typing import Iterator
 
 from .charts import BASE, center_coefficient, gminus_matrix, matrix_commutator
@@ -31,7 +34,6 @@ from .laurent import (
     LaurentPoly,
     PreconditionError,
     Scalar,
-    accumulate,
     matrix_rank,
 )
 from .transform import SpinorField
@@ -140,11 +142,16 @@ class DiracOperator:
     ``stencils[j]`` is a tuple of (clifford matrix, derivative variable,
     x12-correction polynomial) triples; applying the operator sums
     clifford @ (d/dvar + correction * d/dx12) over the six directions.
+    ``plan[nu]`` is the same operator on slot nu as integers: (source slot,
+    exponent shift, ((j, mu, weight), ...)) triples, whose weights are the
+    stencil coefficients times ``scale``, the lcm of their denominators.
     """
 
     epsilon: int
     clifford_norm: Fraction
     stencils: tuple[tuple[tuple, ...], tuple[tuple, ...]]
+    plan: tuple[tuple[tuple, ...], ...]
+    scale: int
 
 
 def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:
@@ -166,7 +173,28 @@ def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:
                 correction = corrections[(block, i, j)].scale(epsilon)
                 terms.append((matrix, _basis_var(block, i, j), correction))
         stencils.append(tuple(terms))
-    return DiracOperator(epsilon=epsilon, clifford_norm=norm, stencils=tuple(stencils))
+
+    # d/dvar lowers slot var; each correction term c*x^t * d/dx12 moves x12 onto t.
+    x12 = BASE.index["x12"]
+    weights: list[dict[tuple[int, Exponents], dict[tuple[int, int], Fraction]]] = [{}, {}, {}, {}]
+    for j, stencil in enumerate(stencils):
+        for matrix, var, correction in stencil:
+            v = BASE.index[var]
+            shifts = [(v, tuple(-(i == v) for i in range(len(BASE))), 1)] + [
+                (x12, tuple(e - (i == x12) for i, e in enumerate(cexps)), ccoeff)
+                for cexps, ccoeff in correction.terms.items()
+            ]
+            for nu, mu in product(range(4), range(4)):
+                for s, delta, c in shifts if matrix[mu][nu] else ():
+                    out = weights[nu].setdefault((s, delta), {})
+                    out[j, mu] = out.get((j, mu), 0) + matrix[mu][nu] * c
+    scale = math.lcm(*(w.denominator for slot in weights for o in slot.values() for w in o.values()))
+    plan = tuple(
+        tuple((s, delta, tuple((j, mu, int(w * scale)) for (j, mu), w in out.items() if w))
+              for (s, delta), out in slot.items())
+        for slot in weights
+    )
+    return DiracOperator(epsilon, norm, tuple(stencils), plan, scale)
 
 
 def apply_2dirac(op: DiracOperator, spinor: SpinorField) -> tuple[tuple, tuple]:
@@ -194,12 +222,10 @@ def is_monogenic(op: DiracOperator, spinor: SpinorField) -> bool:
 
 # ------------------------------------------------------------- graded kernels
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """Every tuple of `parts` non-negative ints summing to `total` (stars and bars)."""
+    end = (total + parts - 1,)
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
 def degree_exponents(k: int) -> list[Exponents]:
@@ -213,81 +239,35 @@ def degree_exponents(k: int) -> list[Exponents]:
     return sorted(out)
 
 
-def _column_image(
-    op: DiracOperator, nu: int, exps: Exponents
-) -> dict[tuple[int, int, Exponents], Fraction]:
-    """Sparse image of the basis spinor (monomial `exps` in slot nu)."""
-    image: dict[tuple[int, int, Exponents], Fraction] = {}
-    x12 = BASE.index["x12"]
-    for j, stencil in enumerate(op.stencils):
-        for matrix, var, correction in stencil:
-            column = [matrix[mu][nu] for mu in range(4)]
-            if not any(column):
-                continue
-            pieces: list[tuple[Exponents, Fraction]] = []
-            v = BASE.index[var]
-            if exps[v]:
-                lowered = list(exps)
-                lowered[v] -= 1
-                pieces.append((tuple(lowered), Fraction(exps[v])))
-            if exps[x12] and not correction.is_zero():
-                lowered = list(exps)
-                lowered[x12] -= 1
-                for cexps, ccoeff in correction.terms.items():
-                    shifted = tuple(a + b for a, b in zip(lowered, cexps))
-                    pieces.append((shifted, Fraction(exps[x12]) * ccoeff))
-            accumulate(image, (
-                ((j, mu, e), column[mu] * c)
-                for mu in range(4)
-                if column[mu]
-                for e, c in pieces
-            ))
+def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
+    """Sparse image of the basis spinor (monomial `exps` in slot nu), times ``op.scale``.
+
+    Distinct shifts give distinct monomials, so no two plan entries meet.
+    """
+    image: dict[tuple[int, int, Exponents], int] = {}
+    for s, delta, outputs in op.plan[nu]:
+        m = exps[s]
+        if m:
+            e = tuple(map(add, exps, delta))
+            for j, mu, w in outputs:
+                image[j, mu, e] = m * w
     return image
 
 
 def graded_kernel_dim(op: DiracOperator, k: int) -> int:
     """Exact dimension of the space of degree-k spinors killed by both operators.
 
-    The operator matrix splits into connected components of its sparsity
-    graph (it is equivariant, so blocks stay small); each block's rank comes
-    from the fraction-free elimination and the nullities add up.
+    Each basis spinor's integer image is one sparse row over int ids of the
+    output coordinates, and the nullity is the column count minus one
+    `matrix_rank` of those rows (rank(A) = rank(A^T)).  No block search is
+    needed: the echelon reduces a row only by a pivot sharing its leading
+    column, so rows of different connected components never meet.
     """
     basis = degree_exponents(k)
-    columns = [(nu, exps) for nu in range(4) for exps in basis]
-    images = {col: _column_image(op, *col) for col in columns}
-
     row_id: dict[tuple[int, int, Exponents], int] = {}
-    parent: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    nullity = 0
-    live_columns = []
-    for col, image in images.items():
-        if not image:
-            nullity += 1  # annihilated outright (e.g. constants)
-            continue
-        live_columns.append(col)
-        ids = [row_id.setdefault(key, len(row_id)) for key in image]
-        parent.extend(range(len(parent), len(row_id)))
-        for other in ids[1:]:
-            parent[find(other)] = find(ids[0])
-
-    groups: dict[int, list] = {}
-    for col in live_columns:
-        root = find(row_id[next(iter(images[col]))])
-        groups.setdefault(root, []).append(col)
-
-    for cols in groups.values():
-        row_keys = sorted({key for col in cols for key in images[col]})
-        row_pos = {key: r for r, key in enumerate(row_keys)}
-        dense = [[0] * len(cols) for _ in row_keys]
-        for c, col in enumerate(cols):
-            for key, value in images[col].items():
-                dense[row_pos[key]][c] = value
-        nullity += len(cols) - matrix_rank(dense, n_cols=len(cols))
-    return nullity
+    images = [
+        {row_id.setdefault(key, len(row_id)): w for key, w in _column_image(op, nu, exps).items()}
+        for nu in range(4)
+        for exps in basis
+    ]
+    return len(images) - matrix_rank(images, n_cols=len(row_id))

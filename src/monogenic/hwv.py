@@ -18,10 +18,10 @@ monomial z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .charts import TWISTOR, ZETA_VARS
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection, g0_action
+from .dirac import _compositions
 from .laurent import (
     Exponents,
     InternalCheckError,
@@ -43,12 +43,6 @@ def hwv_test(section: CochainSection) -> bool:
     )
 
 
-def _compositions3(total: int) -> Iterator[tuple[int, int, int]]:
-    for first in range(total + 1):
-        for second in range(total - first + 1):
-            yield (first, second, total - first - second)
-
-
 def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
     """Monomial exponent vectors sharing the weight of the (a, b, l) leading term.
 
@@ -60,8 +54,8 @@ def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
     out = []
     for s0 in range(l, -1, -1):
         t = l - s0
-        for col1 in _compositions3(a + b + t):
-            for col2 in _compositions3(a + t):
+        for col1 in _compositions(a + b + t, 3):
+            for col2 in _compositions(a + t, 3):
                 rows = [col1[i] + col2[i] for i in range(3)]
                 poles = (a + b + 1 + t - rows[0], a + 1 + t - rows[1], 1 + t - rows[2])
                 exps = [0] * len(TWISTOR)

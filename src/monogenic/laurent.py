@@ -17,10 +17,11 @@ positive denominator, arbitrary precision.  No floating point anywhere.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class AlphabetMismatch(ValueError):
@@ -468,79 +469,95 @@ class PolyMatrix:
 
 
 # ------------------------------------------------------------- exact nullspace
-def _integerize(row: list[Scalar]) -> list[int]:
-    lcm = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (lcm // v.denominator) for v in row]
+Row = Sequence[Scalar] | dict[int, Scalar]  # dense, or sparse {column in range(n_cols): value}
 
 
-def _primitive(row: list[int]) -> list[int]:
-    content = math.gcd(*row)
-    return [v // content for v in row] if content > 1 else row
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    content = math.gcd(*row.values())
+    return {c: v // content for c, v in row.items()} if content > 1 else row
 
 
-def _echelon(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer row echelon form on primitive rows; returns (matrix, pivot columns).
+def _integer_row(row: Row) -> dict[int, int]:
+    """The nonzero entries of a row as {column: int}, scaled to coprime integers."""
+    entries = row if isinstance(row, dict) else dict(enumerate(row))
+    if not all(type(v) is int and v for v in entries.values()):
+        entries = {c: v for c, v in entries.items() if v}
+        lcm = math.lcm(*[v.denominator for v in entries.values()])
+        entries = {c: v.numerator * (lcm // v.denominator) for c, v in entries.items()}
+    return _primitive(entries)
 
-    Below a pivot only a row with a nonzero entry e in its column changes: it
-    becomes (piv/g)*row - (e/g)*pivot_row, g = gcd(piv, e), divided by its content.
+
+def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse integer row echelon form on primitive rows; returns (rows, pivot columns).
+
+    Rows wait in one bucket per leading column, and the buckets are taken in
+    column order from a heap.  The sparsest row of a bucket becomes its pivot;
+    each other row r of the bucket, with leading entries piv and e and
+    g = gcd(piv, e), becomes (piv/g)*r - (e/g)*pivot, made primitive, and
+    moves to the bucket of its new leading column.  No other row is touched.
     """
-    m = [_primitive(_integerize(row)) for row in rows]
-    n_rows = len(m)
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in map(_integer_row, rows):
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        best = None
-        for i in range(r, n_rows):
-            v = m[i][c]
-            if v and (best is None or abs(v) < abs(m[best][c])):
-                best = i
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        piv, tail_r = m[r][c], m[r][c:]
-        for i in range(r + 1, n_rows):
-            mic = m[i][c]
-            if mic:
-                g = math.gcd(piv, mic)
-                a, b = piv // g, mic // g
-                m[i][c:] = _primitive([a * x - b * y for x, y in zip(m[i][c:], tail_r)])
+    while heap:
+        c = heapq.heappop(heap)
+        bucket = buckets.pop(c)
+        pivot = min(bucket, key=len)
+        piv = pivot[c]
+        for row in bucket:
+            if row is pivot:
+                continue
+            g = math.gcd(piv, row[c])
+            a, b = piv // g, row[c] // g
+            row = {k: a * v for k, v in row.items()}  # the caller's rows are never changed
+            for k, v in pivot.items():
+                s = row.get(k, 0) - b * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            if row:
+                row = _primitive(row)
+                lead = min(row)
+                if lead not in buckets:
+                    heapq.heappush(heap, lead)
+                buckets.setdefault(lead, []).append(row)
+        echelon.append(pivot)
         pivots.append(c)
-        r += 1
-    return m, pivots
+    return echelon, pivots
 
 
-def matrix_rank(rows: list[list[Scalar]], n_cols: int | None = None) -> int:
-    """Exact rank of a rational matrix via fraction-free elimination."""
-    if not rows:
-        return 0
-    if n_cols is None:
-        n_cols = len(rows[0])
-    _, pivots = _echelon(rows, n_cols)
-    return len(pivots)
+def matrix_rank(rows: list[Row], n_cols: int | None = None) -> int:
+    """Exact rank of a rational matrix via `_echelon`; `n_cols`, the width, is not needed."""
+    return len(_echelon(rows)[1])
 
 
-def rref(rows: list[list[Scalar]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals: (nonzero rows, pivot columns).
+def rref(rows: list[Row], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: (nonzero dense rows, pivot columns).
 
-    The integer echelon form is back-reduced from its last pivot up, so each
-    row is divided once by its pivot and cleared only at the later pivots.
+    The echelon form is back-reduced from its last pivot up: each row is
+    divided by its pivot and cleared at the later pivot columns it touches,
+    against rows that are already zero at every other pivot column.
     """
-    m, pivots = _echelon(rows, n_cols)
-    reduced: list[list[Fraction]] = [[] for _ in pivots]
-    for r in range(len(pivots) - 1, -1, -1):
-        head = m[r][pivots[r]]
-        row = [Fraction(v, head) for v in m[r]]
-        for s in range(r + 1, len(pivots)):
-            factor = row[pivots[s]]
-            if factor:
-                row = [a - factor * b for a, b in zip(row, reduced[s])]
-        reduced[r] = row
-    return reduced, pivots
+    echelon, pivots = _echelon(rows)
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        head = row[c]
+        row = {k: Fraction(v, head) for k, v in row.items()}
+        for p in [k for k in row if k in reduced]:
+            factor = row[p]
+            accumulate(row, ((k, -factor * v) for k, v in reduced[p].items()))
+        reduced[c] = row
+    zero = Fraction(0)
+    return [[reduced[c].get(k, zero) for k in range(n_cols)] for c in pivots], pivots
 
 
-def exact_nullspace(rows: list[list[Scalar]], n_cols: int | None = None) -> list[list[Fraction]]:
+def exact_nullspace(rows: list[Row], n_cols: int | None = None) -> list[list[Fraction]]:
     """Basis of the exact right nullspace of a rational matrix.
 
     Returns one vector per free column f of the reduced row echelon form R:
@@ -549,8 +566,8 @@ def exact_nullspace(rows: list[list[Scalar]], n_cols: int | None = None) -> list
     empty `rows` list means the map is zero and the whole space comes back.
     """
     if n_cols is None:
-        if not rows:
-            raise ValueError("cannot infer the column count of an empty matrix")
+        if not rows or isinstance(rows[0], dict):
+            raise ValueError("cannot infer the column count of an empty or sparse matrix")
         n_cols = len(rows[0])
     reduced, pivots = rref(rows, n_cols)
     pivot_set = set(pivots)

@@ -125,6 +125,47 @@ def test_hwv_command(capsys):
     assert doc["result"]["transform"] == ["x2_11^2", "0", "0", "0"]
 
 
+BUDGET_CASES = [
+    (["kernel-dim", "--degree", "9"], "0..8"),
+    (["kernel-dim", "--degree", "-1"], "0..8"),
+    (["hwv", "--a", "0", "--b", "1", "--l", "3"], "hwv limit 6"),
+    (["hwv", "--a", "2", "--b", "3", "--l", "0"], "hwv limit 6"),
+]
+
+
+@pytest.mark.parametrize("argv, limit", BUDGET_CASES, ids=["kernel-9", "kernel-neg", "hwv-l", "hwv-ab"])
+def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypatch, argv, limit):
+    import monogenic.cli as cli
+
+    def unreachable(*args):
+        raise AssertionError("the input budget should refuse this before computing")
+
+    monkeypatch.setattr(cli, "graded_kernel_dim", unreachable)
+    monkeypatch.setattr(cli, "hwv_complete", unreachable)
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert limit in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
+    import monogenic.cli as cli
+    from monogenic.charts import TWISTOR
+    from monogenic.cochain import CochainSection
+    from monogenic.laurent import LaurentPoly
+
+    calls = []
+    monkeypatch.setattr(cli, "graded_kernel_dim", lambda op, k: calls.append(k) or 97240)
+    monkeypatch.setattr(
+        cli, "hwv_complete", lambda label: calls.append(label) or CochainSection(LaurentPoly.zero(TWISTOR))
+    )
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    assert run(capsys, "kernel-dim", "--degree", "8")[0] == 0
+    assert run(capsys, "hwv", "--a", "1", "--b", "2", "--l", "1")[0] == 0
+    assert calls == [8, (1, 2, 1)]
+
+
 def test_parse_error_exit_code(capsys):
     calibrate(capsys)
     code, _, err = run(capsys, "transform", "--section", "zeta1^-1 + q")

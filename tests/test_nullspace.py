@@ -1,11 +1,12 @@
-"""Exact rank, rref and nullspace via integer elimination on primitive rows,
-checked against a Bareiss rank and a textbook rational Gauss-Jordan oracle on
-random, rank-deficient and sparse matrices."""
+"""Exact rank, rref and nullspace via sparse integer elimination on primitive
+rows, dense or {column: value}, checked against a Bareiss rank and a textbook
+rational Gauss-Jordan oracle on random, rank-deficient and sparse matrices."""
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -91,6 +92,12 @@ def test_one_by_two():
 def test_zero_map_gives_full_space():
     basis = exact_nullspace([], n_cols=3)
     assert len(basis) == 3
+
+
+def test_sparse_rows_need_an_explicit_width():
+    with pytest.raises(ValueError):
+        exact_nullspace([{0: 1}])
+    assert exact_nullspace([{0: 1}], n_cols=2) == [[Fraction(0), Fraction(1)]]
 
 
 def test_random_50_by_80_rank_nullity():
@@ -191,9 +198,13 @@ def sparse_matrices(draw):
 @given(st.one_of(sparse_matrices(), small_matrices(), rank_deficient_matrices()))
 @settings(max_examples=300, deadline=None)
 def test_rref_and_nullspace_match_the_gauss_jordan_oracle(data):
-    # The rank is checked against the Bareiss oracle as well.
+    # The rank is checked against the Bareiss oracle as well, and the
+    # {column: value} form of each row must give the same answers.
     rows, n_cols = data
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
     reduced, pivots = plain_gauss_jordan(rows, n_cols)
     assert matrix_rank(rows, n_cols=n_cols) == bareiss_rank(rows, n_cols) == len(pivots)
-    assert rref(rows, n_cols) == (reduced, pivots)
+    assert matrix_rank(sparse, n_cols=n_cols) == len(pivots)
+    assert rref(rows, n_cols) == rref(sparse, n_cols) == (reduced, pivots)
     assert exact_nullspace(rows, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
+    assert exact_nullspace(sparse, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
