@@ -46,7 +46,7 @@ def run(config: AuditConfig) -> bool:
     calibration, _ = find_calibration()
     op = build_calibrated(calibration)
     rng = random.Random(config.seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = 0
     certificates = {c: 0 for c in Certificate}
     certified_nonzero = 0
@@ -63,7 +63,7 @@ def run(config: AuditConfig) -> bool:
         certificates[cert] += 1
         if cert is Certificate.TRIVIAL_NEGATIVE_POLE and not image.is_zero():
             certified_nonzero += 1
-    print(f"samples: {config.samples} (seed {config.seed}), {time.time()-t0:.2f}s")
+    print(f"samples: {config.samples} (seed {config.seed}), {time.perf_counter() - t0:.2f}s")
     print(f"kernel failures: {failures}")
     print(f"zero transforms: {zero_images}")
     for cert, count in certificates.items():

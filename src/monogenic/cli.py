@@ -30,6 +30,7 @@ from .transform import penrose_transform
 # Input budgets: past these an exact run takes minutes to hours, not seconds.
 KERNEL_DEGREE_LIMIT = 8  # the largest degree measured, about a minute on one core
 HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
+TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s on one core
 
 
 def _calibration_fields(config: calibration.CalibrationConfig) -> dict:
@@ -114,6 +115,11 @@ def _spinor_strings(field) -> list[str]:
 # ------------------------------------------------------------------- commands
 def _cmd_transform(args, config) -> dict:
     section = parse_section(args.section)
+    # TWISTOR slots: z0, then the six z_ij, then the zetas.
+    if any(2 * e[0] + sum(e[1:7]) > TRANSFORM_DEGREE_LIMIT for e in section.body.terms):
+        raise PreconditionError(
+            f"a term's degree 2*s0 + sum s_ij is over the transform limit {TRANSFORM_DEGREE_LIMIT}"
+        )
     image = penrose_transform(section)
     return _document(
         "transform",

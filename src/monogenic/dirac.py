@@ -28,47 +28,30 @@ from itertools import combinations, product
 from operator import add
 from typing import Iterator
 
-from .charts import BASE, center_coefficient, gminus_matrix, matrix_commutator
-from .laurent import (
-    Exponents,
-    LaurentPoly,
-    PreconditionError,
-    Scalar,
-    matrix_rank,
-)
+from .charts import BASE, LAMBDA2_BASIS, center_coefficient, gminus_matrix, matrix_commutator
+from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, accumulate, matrix_rank
 from .transform import SpinorField
 
 DIRECTIONS = ("e3", "e4", "e5", "eb3", "eb4", "eb5")
 
 # Images of the six null directions in Lambda^2 C^4: (index pair, sign).
-LAMBDA2_IMAGE = {
-    "e3": ((0, 1), 1),
-    "e4": ((0, 2), 1),
-    "e5": ((0, 3), 1),
-    "eb3": ((2, 3), 1),
-    "eb4": ((1, 3), -1),
-    "eb5": ((1, 2), 1),
-}
+LAMBDA2_IMAGE = dict(zip(DIRECTIONS, LAMBDA2_BASIS))
 
 DUAL_DIRECTION = {"e3": "eb3", "e4": "eb4", "e5": "eb5", "eb3": "e3", "eb4": "e4", "eb5": "e5"}
 
 
-def _perm_sign(indices: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                sign = -sign
-    return sign
+def _volume_coefficient(indices: tuple[int, int, int, int]) -> int:
+    """Coefficient of the volume form f0^f1^f2^f3 in f_a^f_b^f_c^f_d."""
+    if len(set(indices)) < 4:
+        return 0
+    return (-1) ** sum(a > b for a, b in combinations(indices, 2))
 
 
 def wedge_pair_sign(a: tuple[tuple[int, int], int], b: tuple[tuple[int, int], int]) -> int:
     """Coefficient of the volume form in (signed 2-form a) ^ (signed 2-form b)."""
     (i, j), sa = a
     (k, l), sb = b
-    if len({i, j, k, l}) < 4:
-        return 0
-    return sa * sb * _perm_sign((i, j, k, l))
+    return sa * sb * _volume_coefficient((i, j, k, l))
 
 
 def quadratic_form(coefficients: dict[str, Scalar]) -> Fraction:
@@ -89,16 +72,9 @@ def clifford_matrix(direction: str) -> tuple[tuple[int, ...], ...]:
     image(direction) ^ f_nu ^ f_mu.
     """
     (i, j), sign = LAMBDA2_IMAGE[direction]
-    rows = []
-    for mu in range(4):
-        row = []
-        for nu in range(4):
-            if len({i, j, nu, mu}) < 4:
-                row.append(0)
-            else:
-                row.append(sign * _perm_sign((i, j, nu, mu)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(sign * _volume_coefficient((i, j, nu, mu)) for nu in range(4)) for mu in range(4)
+    )
 
 
 # -------------------------------------------------- grade -1 structure constants
@@ -137,19 +113,17 @@ def _central_corrections() -> dict[tuple[int, int, int], LaurentPoly]:
 
 @dataclass(frozen=True)
 class DiracOperator:
-    """The two coupled operators as explicit stencils.
+    """The two coupled operators as one integer stencil plan.
 
-    ``stencils[j]`` is a tuple of (clifford matrix, derivative variable,
-    x12-correction polynomial) triples; applying the operator sums
-    clifford @ (d/dvar + correction * d/dx12) over the six directions.
-    ``plan[nu]`` is the same operator on slot nu as integers: (source slot,
-    exponent shift, ((j, mu, weight), ...)) triples, whose weights are the
-    stencil coefficients times ``scale``, the lcm of their denominators.
+    Component j sums clifford @ (d/dvar + correction * d/dx12) over the six
+    directions.  ``plan[nu]`` is that operator on spinor slot nu: (source
+    slot, exponent shift, ((j, mu, weight), ...)) triples, whose weights are
+    the exact coefficients times ``scale``, the lcm of their denominators.
+    Every use of the operator goes through `_column_image`.
     """
 
     epsilon: int
     clifford_norm: Fraction
-    stencils: tuple[tuple[tuple, ...], tuple[tuple, ...]]
     plan: tuple[tuple[tuple, ...], ...]
     scale: int
 
@@ -162,57 +136,45 @@ def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:
     if not norm:
         raise PreconditionError("the Clifford normalization must be nonzero")
     corrections = _central_corrections()
-    stencils = []
-    for j in range(2):
-        terms = []
-        for i in range(3):
-            for block, direction in ((1, DUAL_DIRECTION[f"e{i + 3}"]), (2, f"e{i + 3}")):
-                matrix = tuple(
-                    tuple(norm * v for v in row) for row in clifford_matrix(direction)
-                )
-                correction = corrections[(block, i, j)].scale(epsilon)
-                terms.append((matrix, _basis_var(block, i, j), correction))
-        stencils.append(tuple(terms))
-
     # d/dvar lowers slot var; each correction term c*x^t * d/dx12 moves x12 onto t.
     x12 = BASE.index["x12"]
     weights: list[dict[tuple[int, Exponents], dict[tuple[int, int], Fraction]]] = [{}, {}, {}, {}]
-    for j, stencil in enumerate(stencils):
-        for matrix, var, correction in stencil:
-            v = BASE.index[var]
-            shifts = [(v, tuple(-(i == v) for i in range(len(BASE))), 1)] + [
-                (x12, tuple(e - (i == x12) for i, e in enumerate(cexps)), ccoeff)
-                for cexps, ccoeff in correction.terms.items()
-            ]
-            for nu, mu in product(range(4), range(4)):
-                for s, delta, c in shifts if matrix[mu][nu] else ():
-                    out = weights[nu].setdefault((s, delta), {})
-                    out[j, mu] = out.get((j, mu), 0) + matrix[mu][nu] * c
+    for j, i, block in product(range(2), range(3), (1, 2)):
+        matrix = clifford_matrix(DUAL_DIRECTION[f"e{i + 3}"] if block == 1 else f"e{i + 3}")
+        v = BASE.index[_basis_var(block, i, j)]
+        shifts = [(v, tuple(-(s == v) for s in range(len(BASE))), norm)] + [
+            (x12, tuple(e - (s == x12) for s, e in enumerate(cexps)), norm * epsilon * ccoeff)
+            for cexps, ccoeff in corrections[block, i, j].terms.items()
+        ]
+        for nu, mu in product(range(4), range(4)):
+            for s, delta, c in shifts if matrix[mu][nu] else ():
+                out = weights[nu].setdefault((s, delta), {})
+                out[j, mu] = out.get((j, mu), 0) + matrix[mu][nu] * c
     scale = math.lcm(*(w.denominator for slot in weights for o in slot.values() for w in o.values()))
     plan = tuple(
         tuple((s, delta, tuple((j, mu, int(w * scale)) for (j, mu), w in out.items() if w))
               for (s, delta), out in slot.items())
         for slot in weights
     )
-    return DiracOperator(epsilon, norm, tuple(stencils), plan, scale)
+    return DiracOperator(epsilon, norm, plan, scale)
 
 
 def apply_2dirac(op: DiracOperator, spinor: SpinorField) -> tuple[tuple, tuple]:
-    """Both component operators applied to a spinor field (exactly)."""
-    results = []
-    for stencil in op.stencils:
-        parts: list[list[LaurentPoly]] = [[], [], [], []]
-        for matrix, var, correction in stencil:
-            for nu in range(4):
-                if any(matrix[mu][nu] for mu in range(4)):
-                    field = spinor.components[nu].derivative(var)
-                    if not correction.is_zero():
-                        field = field + correction * spinor.components[nu].derivative("x12")
-                    for mu in range(4):
-                        if matrix[mu][nu]:
-                            parts[mu].append(field.scale(matrix[mu][nu]))
-        results.append(tuple(LaurentPoly.sum(BASE, p) for p in parts))
-    return tuple(results)
+    """Both component operators applied to a spinor field (exactly).
+
+    The image is the sum over the spinor's terms of coefficient / ``op.scale``
+    times the column image of that basis spinor.
+    """
+    image: dict[tuple[int, int, Exponents], Fraction] = {}
+    for nu, component in enumerate(spinor.components):
+        for exps, coeff in component.terms.items():
+            c = coeff / op.scale
+            accumulate(image, ((key, c * w) for key, w in _column_image(op, nu, exps).items()))
+    halves = ([{}, {}, {}, {}], [{}, {}, {}, {}])
+    for (j, mu, e), c in image.items():
+        halves[j][mu][e] = c
+    # accumulate drops zero sums, so each dict is already canonical.
+    return tuple(tuple(LaurentPoly(BASE, terms) for terms in half) for half in halves)
 
 
 def is_monogenic(op: DiracOperator, spinor: SpinorField) -> bool:

@@ -89,6 +89,27 @@ def test_check_monogenic(capsys):
     assert "residual_1" in doc["result"]
 
 
+def test_check_monogenic_residuals_are_pinned(capsys):
+    # A non-monogenic spinor with x12 terms, so the central corrections act.
+    calibrate(capsys)
+    spinor = "x12*x1_11 + 1/2*x2_21^2;x12;0;x1_32*x12"
+    code, out, _ = run(capsys, "check-monogenic", "--spinor", spinor, "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["residual_1"] == [
+        "-1/2 * x1_32 * x2_32 - 1/2 * x2_12",
+        "1/2 * x1_11 * x2_12 + 1/2 * x1_22 * x1_32 + x12",
+        "1/2 * x1_11 * x2_22 - 1/2 * x1_12 * x1_32 + 1/2 * x1_32",
+        "1/2 * x1_11 * x2_32 - 1/2 * x1_22",
+    ]
+    assert result["residual_2"] == [
+        "1/2 * x1_32 * x2_31 - x12 + 1/2 * x2_11",
+        "-1/2 * x1_11 * x2_11 - 1/2 * x1_21 * x1_32",
+        "1/2 * x1_11 * x1_32 - 1/2 * x1_11 * x2_21 - 1/2 * x1_31",
+        "-1/2 * x1_11 * x2_31 + 1/2 * x1_21",
+    ]
+
+
 def test_weight_command(capsys):
     calibrate(capsys)
     code, out, _ = run(
@@ -130,10 +151,15 @@ BUDGET_CASES = [
     (["kernel-dim", "--degree", "-1"], "0..8"),
     (["hwv", "--a", "0", "--b", "1", "--l", "3"], "hwv limit 6"),
     (["hwv", "--a", "2", "--b", "3", "--l", "0"], "hwv limit 6"),
+    (["transform", "--section", "z0^999999*zeta1^-1*zeta2^-1*zeta3^-1"], "transform limit 12"),
+    (["transform", "--section", "z0 + z0^6*z11*zeta1^-1*zeta2^-1*zeta3^-1"], "transform limit 12"),
 ]
 
 
-@pytest.mark.parametrize("argv, limit", BUDGET_CASES, ids=["kernel-9", "kernel-neg", "hwv-l", "hwv-ab"])
+@pytest.mark.parametrize(
+    "argv, limit", BUDGET_CASES,
+    ids=["kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed"],
+)
 def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypatch, argv, limit):
     import monogenic.cli as cli
 
@@ -142,6 +168,7 @@ def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypat
 
     monkeypatch.setattr(cli, "graded_kernel_dim", unreachable)
     monkeypatch.setattr(cli, "hwv_complete", unreachable)
+    monkeypatch.setattr(cli, "penrose_transform", unreachable)
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
     code, out, err = run(capsys, *argv)
     assert code == 3
@@ -153,7 +180,9 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
     import monogenic.cli as cli
     from monogenic.charts import TWISTOR
     from monogenic.cochain import CochainSection
+    from monogenic.expr import parse_section
     from monogenic.laurent import LaurentPoly
+    from monogenic.transform import SpinorField
 
     calls = []
     monkeypatch.setattr(cli, "graded_kernel_dim", lambda op, k: calls.append(k) or 97240)
@@ -163,7 +192,10 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
     assert run(capsys, "kernel-dim", "--degree", "8")[0] == 0
     assert run(capsys, "hwv", "--a", "1", "--b", "2", "--l", "1")[0] == 0
-    assert calls == [8, (1, 2, 1)]
+    monkeypatch.setattr(cli, "penrose_transform", lambda section: calls.append(section) or SpinorField.zero())
+    section = "z0^5*z11*z32*zeta1^-1*zeta2^-1*zeta3^-1"
+    assert run(capsys, "transform", "--section", section)[0] == 0
+    assert calls == [8, (1, 2, 1), parse_section(section)]
 
 
 def test_parse_error_exit_code(capsys):
@@ -261,19 +293,44 @@ def test_json_outputs_are_byte_stable(capsys):
         assert first[0] == 0
 
 
-def test_console_script_entry_point(workdir):
+def child_env():
     # The child runs in workdir, where a relative PYTHONPATH (such as "src")
     # no longer resolves; put the directory holding the package under test
     # first so the child imports this copy whether or not one is installed.
     package_root = str(Path(monogenic.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_console_script_entry_point(workdir):
     result = subprocess.run(
         [sys.executable, "-m", "monogenic.cli", "calibrate"],
         capture_output=True,
         text=True,
         cwd=workdir,
-        env=env,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert (workdir / "penrose-calibration.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "script, args, verdict",
+    [
+        ("kernel_audit.py", ["--max-degree", "3"], "total: ok"),
+        ("transform_audit.py", ["--samples", "20"], "kernel failures: 0"),
+    ],
+    ids=["kernel", "transform"],
+)
+def test_audit_script_passes(workdir, script, args, verdict):
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    result = subprocess.run(
+        [sys.executable, str(scripts / script), *args],
+        capture_output=True,
+        text=True,
+        cwd=workdir,
+        env=child_env(),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert verdict in result.stdout

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from monogenic.calibration import (
     build_calibrated,
@@ -13,6 +16,9 @@ from monogenic.calibration import (
 from monogenic.charts import BASE, Z_VARS
 from monogenic.cochain import CochainSection
 from monogenic.dirac import (
+    DUAL_DIRECTION,
+    _basis_var,
+    _central_corrections,
     apply_2dirac,
     build_dirac,
     clifford_matrix,
@@ -35,12 +41,50 @@ def spinor(*components):
     return SpinorField(tuple(components))
 
 
+@lru_cache(maxsize=None)
+def fraction_stencils(epsilon, clifford_norm):
+    # Oracle: the operator written down as Fraction stencils, independently of
+    # the integer plan.  stencils[j] holds one (Clifford matrix times the norm,
+    # derivative variable, x12 correction times epsilon) triple per direction.
+    corrections = _central_corrections()
+    return tuple(
+        tuple(
+            (
+                tuple(tuple(clifford_norm * v for v in row) for row in clifford_matrix(direction)),
+                _basis_var(block, i, j),
+                corrections[block, i, j].scale(epsilon),
+            )
+            for i in range(3)
+            for block, direction in ((1, DUAL_DIRECTION[f"e{i + 3}"]), (2, f"e{i + 3}"))
+        )
+        for j in range(2)
+    )
+
+
+def stencil_apply_2dirac(op, spinor):
+    # Oracle: clifford @ (d/dvar + correction * d/dx12) summed over the stencils.
+    results = []
+    for stencil in fraction_stencils(op.epsilon, op.clifford_norm):
+        parts = [[], [], [], []]
+        for matrix, var, correction in stencil:
+            for nu in range(4):
+                if any(matrix[mu][nu] for mu in range(4)):
+                    field = spinor.components[nu].derivative(var)
+                    if not correction.is_zero():
+                        field = field + correction * spinor.components[nu].derivative("x12")
+                    for mu in range(4):
+                        if matrix[mu][nu]:
+                            parts[mu].append(field.scale(matrix[mu][nu]))
+        results.append(tuple(LaurentPoly.sum(BASE, p) for p in parts))
+    return tuple(results)
+
+
 def fraction_column_image(op, nu, exps):
     # Oracle: the image of one basis spinor read straight off the Fraction
     # stencils, d/dvar and the x12 correction term by term.
     image = {}
     x12 = BASE.index["x12"]
-    for j, stencil in enumerate(op.stencils):
+    for j, stencil in enumerate(fraction_stencils(op.epsilon, op.clifford_norm)):
         for matrix, var, correction in stencil:
             column = [matrix[mu][nu] for mu in range(4)]
             if not any(column):
@@ -207,6 +251,25 @@ def test_integer_column_image_is_the_scaled_fraction_image():
                         key: op.scale * v for key, v in fraction_column_image(op, nu, exps).items()
                     }
                     assert _column_image(op, nu, exps) == expected
+
+
+# Random spinors over the base: up to four terms per slot, x12 (slot 0) up to
+# cubed, so the correction terms act and the fields are almost never monogenic.
+base_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), *[st.integers(0, 2)] * (len(BASE) - 1)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    max_size=4,
+).map(lambda terms: LaurentPoly.from_dict(BASE, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(((1, 1), (-1, 1), (-1, Fraction(2, 3)))),
+    st.tuples(base_polys, base_polys, base_polys, base_polys).map(SpinorField),
+)
+def test_apply_2dirac_is_the_stencil_operator(conventions, field):
+    op = build_dirac(*conventions)  # (1, 1) is the calibrated operator
+    assert apply_2dirac(op, field) == stencil_apply_2dirac(op, field)
 
 
 def test_one_sparse_rank_agrees_with_the_blockwise_oracle():
