@@ -9,25 +9,19 @@ Usage: python scripts/kernel_audit.py [--max-degree K]
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from monogenic.calibration import build_calibrated, find_calibration
 from monogenic.dirac import graded_kernel_dim
 from monogenic.repn import decompose_Mk
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    max_degree: int = 5
-
-
-def run(config: AuditConfig) -> bool:
+def run(max_degree: int) -> bool:
     calibration, _ = find_calibration()
     op = build_calibrated(calibration)
     print(f"calibration: epsilon={calibration.epsilon:+d}, norm={calibration.clifford_norm}")
     all_ok = True
     start = time.perf_counter()
-    for k in range(config.max_degree + 1):
+    for k in range(max_degree + 1):
         t0 = time.perf_counter()
         nullity = graded_kernel_dim(op, k)
         weyl = sum(desc.dimension for _, desc in decompose_Mk(k))
@@ -45,7 +39,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-degree", type=int, default=5)
     args = parser.parse_args()
-    return 0 if run(AuditConfig(max_degree=args.max_degree)) else 1
+    return 0 if run(args.max_degree) else 1
 
 
 if __name__ == "__main__":

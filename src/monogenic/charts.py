@@ -22,14 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .laurent import (
-    Alphabet,
-    InternalCheckError,
-    LaurentPoly,
-    PolyMatrix,
-    PreconditionError,
-    Scalar,
-)
+from .laurent import Alphabet, LaurentPoly, PolyMatrix, PreconditionError
 
 ZETA_VARS = ("zeta1", "zeta2", "zeta3")
 Z_VARS = ("z11", "z12", "z21", "z22", "z31", "z32")
@@ -297,44 +290,3 @@ def correspondence_substitution() -> dict[str, LaurentPoly]:
             bindings[f"z{i}{j}"] = b1[i - 1, j - 1]
     return bindings
 
-
-# ----------------------------------------------------- graded algebra matrices
-def gminus_matrix(
-    x1: list[list[Scalar]], x2: list[list[Scalar]], x12: Scalar
-) -> list[list[Fraction]]:
-    """Embed (X1, X2, X12) into the 10x10 graded algebra (lower-left blocks).
-
-    Row/column blocks follow the basis order: e1 e2 | e3 e4 e5 | ebar3 ebar4
-    ebar5 | ebar1 ebar2.  X12 is the antisymmetric 2x2 with upper entry x12.
-    """
-    m = [[Fraction(0)] * 10 for _ in range(10)]
-    for i in range(3):
-        for j in range(2):
-            m[2 + i][j] = Fraction(x1[i][j])
-            m[5 + i][j] = Fraction(x2[i][j])
-    m[8][1] = Fraction(x12)
-    m[9][0] = -Fraction(x12)
-    for i in range(3):
-        for j in range(2):
-            m[8 + j][2 + i] = -Fraction(x2[i][j])
-            m[8 + j][5 + i] = -Fraction(x1[i][j])
-    return m
-
-
-def matrix_commutator(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
-
-
-def center_coefficient(m: list[list[Fraction]]) -> Fraction:
-    """Read the x12-block coefficient of a matrix known to lie in grade -2."""
-    for i in range(10):
-        for j in range(10):
-            inside = 8 <= i <= 9 and j <= 1
-            if not inside and m[i][j]:
-                raise InternalCheckError(f"entry ({i},{j}) outside the grade -2 block is nonzero")
-    if m[8][0] or m[9][1] or m[8][1] != -m[9][0]:
-        raise InternalCheckError("grade -2 block is not antisymmetric")
-    return m[8][1]

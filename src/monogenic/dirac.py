@@ -7,12 +7,15 @@ vector fields of the 2-step graded group in exponential coordinates,
 
     V = d/dx^k_ij + epsilon * (1/2) * sum_v kappa([u_v, u]) x_v * d/dx12,
 
-with the central structure constants kappa computed exactly from commutators
-of the embedded 10x10 matrices.  Each derivative is paired with the Clifford
-matrix of its metric-dual direction (X1 rows pair with ebar directions, X2
-rows with e directions); the one genuinely free sign epsilon and an overall
-Clifford normalization are pinned by calibration against known monogenic
-spinors (see calibration.py).
+with the central structure constants kappa in closed form: the bracket of two
+grade -1 basis elements (block, i, j) is the symplectic form on their C^2
+column index times the wedge pairing of their directions in C^6 = Lambda^2 C^4,
+kappa([u_v, u]) = (j_v - j_u) * (dir v ^ dir u) / vol, so each direction u has
+the single partner v = (3 - block, i, 1 - j).  Each derivative is paired with
+the Clifford matrix of its metric-dual direction (X1 rows pair with ebar
+directions, X2 rows with e directions); the one genuinely free sign epsilon
+and an overall Clifford normalization are pinned by calibration against known
+monogenic spinors (see calibration.py).
 
 The operator is homogeneous of degree -1 for deg(x12)=2, deg(x^k_ij)=1, which
 is what makes the graded kernels finite-dimensional and exactly computable.
@@ -28,7 +31,7 @@ from itertools import combinations, product
 from operator import add
 from typing import Iterator
 
-from .charts import BASE, LAMBDA2_BASIS, center_coefficient, gminus_matrix, matrix_commutator
+from .charts import BASE, LAMBDA2_BASIS
 from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, accumulate, matrix_rank
 from .transform import SpinorField
 
@@ -78,37 +81,27 @@ def clifford_matrix(direction: str) -> tuple[tuple[int, ...], ...]:
 
 
 # -------------------------------------------------- grade -1 structure constants
-_GRADE1_BASIS = tuple(
-    (block, i, j) for block in (1, 2) for i in range(3) for j in range(2)
-)
-
-
 def _basis_var(block: int, i: int, j: int) -> str:
     return f"x{block}_{i + 1}{j + 1}"
 
 
-def _basis_matrix(block: int, i: int, j: int) -> list[list[Fraction]]:
-    x1 = [[0] * 2 for _ in range(3)]
-    x2 = [[0] * 2 for _ in range(3)]
-    (x1 if block == 1 else x2)[i][j] = 1
-    return gminus_matrix(x1, x2, 0)
+def _direction(block: int, i: int) -> str:
+    """The direction paired with d/dx{block}_{i+1}j: X1 rows pair with ebar, X2 rows with e."""
+    return DUAL_DIRECTION[f"e{i + 3}"] if block == 1 else f"e{i + 3}"
 
 
-@lru_cache(maxsize=None)
-def _central_corrections() -> dict[tuple[int, int, int], LaurentPoly]:
-    """For each grade -1 direction u: (1/2) sum_v kappa([u_v, u]) x_v over the base."""
-    mats = {key: _basis_matrix(*key) for key in _GRADE1_BASIS}
-    out: dict[tuple[int, int, int], LaurentPoly] = {}
-    for u in _GRADE1_BASIS:
-        terms: dict[Exponents, Fraction] = {}
-        for v in _GRADE1_BASIS:
-            kappa = center_coefficient(matrix_commutator(mats[v], mats[u]))
-            if kappa:
-                exps = [0] * len(BASE)
-                exps[BASE.index[_basis_var(*v)]] = 1
-                terms[tuple(exps)] = Fraction(1, 2) * kappa
-        out[u] = LaurentPoly.from_dict(BASE, terms)
-    return out
+def central_bracket(v: tuple[int, int, int], u: tuple[int, int, int]) -> int:
+    """kappa([u_v, u]): the x12 coefficient of the bracket of two grade -1 basis elements.
+
+    A basis element (block, i, j) is the unit in row i, column j of X1 or X2.
+    The bracket is the symplectic form on the column index (C^2) times the
+    wedge pairing of the two directions in Lambda^2 C^4 (C^6), so it is
+    nonzero only for v = (3 - block, i, 1 - j).
+    """
+    (bv, iv, jv), (bu, iu, ju) = v, u
+    return (jv - ju) * wedge_pair_sign(
+        LAMBDA2_IMAGE[_direction(bv, iv)], LAMBDA2_IMAGE[_direction(bu, iu)]
+    )
 
 
 @dataclass(frozen=True)
@@ -135,17 +128,18 @@ def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:
     norm = Fraction(clifford_norm)
     if not norm:
         raise PreconditionError("the Clifford normalization must be nonzero")
-    corrections = _central_corrections()
-    # d/dvar lowers slot var; each correction term c*x^t * d/dx12 moves x12 onto t.
+    # d/dx_u lowers the x_u exponent; epsilon * kappa(v, u)/2 * x_v * d/dx12 moves x12 onto x_v.
     x12 = BASE.index["x12"]
     weights: list[dict[tuple[int, Exponents], dict[tuple[int, int], Fraction]]] = [{}, {}, {}, {}]
     for j, i, block in product(range(2), range(3), (1, 2)):
-        matrix = clifford_matrix(DUAL_DIRECTION[f"e{i + 3}"] if block == 1 else f"e{i + 3}")
-        v = BASE.index[_basis_var(block, i, j)]
-        shifts = [(v, tuple(-(s == v) for s in range(len(BASE))), norm)] + [
-            (x12, tuple(e - (s == x12) for s, e in enumerate(cexps)), norm * epsilon * ccoeff)
-            for cexps, ccoeff in corrections[block, i, j].terms.items()
-        ]
+        matrix = clifford_matrix(_direction(block, i))
+        u, v = (block, i, j), (3 - block, i, 1 - j)  # v: the one partner with a nonzero bracket
+        x_u, x_v = BASE.index[_basis_var(*u)], BASE.index[_basis_var(*v)]
+        shifts = (
+            (x_u, tuple(-(s == x_u) for s in range(len(BASE))), norm),
+            (x12, tuple((s == x_v) - (s == x12) for s in range(len(BASE))),
+             norm * epsilon * Fraction(central_bracket(v, u), 2)),
+        )
         for nu, mu in product(range(4), range(4)):
             for s, delta, c in shifts if matrix[mu][nu] else ():
                 out = weights[nu].setdefault((s, delta), {})

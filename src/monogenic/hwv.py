@@ -30,6 +30,7 @@ from .laurent import (
     exact_nullspace,
     rref,
 )
+from .repn import leading_term
 from .transform import class_is_zero, penrose_transform
 from .transform import spinor_coefficient_rows as _stacked_rows
 
@@ -117,13 +118,7 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     if representative is None:
         raise InternalCheckError(f"label {label}: all solutions have zero class")
 
-    lead = [0] * len(TWISTOR)
-    lead[TWISTOR.index["z0"]] = l
-    lead[TWISTOR.index["z11"]] = a + b
-    lead[TWISTOR.index["z22"]] = a
-    for name in ZETA_VARS:
-        lead[TWISTOR.index[name]] = -1
-    lead_exps = tuple(lead)
+    lead_exps, expected_top = leading_term(a, b, l)
     lead_coeff = representative[exponents.index(lead_exps)]
     if not lead_coeff:
         raise InternalCheckError(f"label {label}: leading coefficient vanished")
@@ -138,12 +133,6 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     # The z0-top part must be exactly Delta^a z11^b/(zeta1 zeta2 zeta3).
     if body.degree_in("z0") != l:
         raise InternalCheckError(f"label {label}: z0 degree is not {l}")
-    delta = LaurentPoly.monomial(TWISTOR, {"z11": 1, "z22": 1}) - LaurentPoly.monomial(
-        TWISTOR, {"z12": 1, "z21": 1}
-    )
-    expected_top = (delta ** a) * LaurentPoly.monomial(
-        TWISTOR, {"z11": b, "zeta1": -1, "zeta2": -1, "zeta3": -1}
-    )
     if body.coefficient_of(("z0",), (l,)) != expected_top:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
     return section

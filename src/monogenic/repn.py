@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cochain import CochainSection, Weight, weight_of_monomial
-from .laurent import InternalCheckError, LaurentPoly, PreconditionError, Scalar
+from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
 from .charts import TWISTOR, ZETA_VARS
 
 
@@ -104,16 +104,27 @@ def multiplicity_free_check(k_max: int) -> bool:
     seen: set[tuple] = set()
     for k in range(k_max + 1):
         for _, desc in decompose_Mk(k):
-            key = (desc.gl2_weight, _normalize_sl4(desc.sl4_weight))
+            weight = Weight(gl2=desc.gl2_weight, gl4=desc.sl4_weight)
+            key = (weight.gl2, weight.gl4_normalized())
             if key in seen:
                 return False
             seen.add(key)
     return True
 
 
-def _normalize_sl4(weight: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    base = weight[3]
-    return tuple(v - base for v in weight)
+def leading_term(a: int, b: int, l: int) -> tuple[Exponents, LaurentPoly]:
+    """The lead monomial of the (a, b, l) highest weight vector and its z0^l part.
+
+    Returns the exponents of z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) and the
+    pattern Delta^a z11^b / (zeta1 zeta2 zeta3), Delta = z11 z22 - z12 z21,
+    that the coefficient of z0^l must equal.
+    """
+    poles = {name: -1 for name in ZETA_VARS}
+    (lead,) = LaurentPoly.monomial(TWISTOR, {"z0": l, "z11": a + b, "z22": a, **poles}).terms
+    delta = LaurentPoly.monomial(TWISTOR, {"z11": 1, "z22": 1}) - LaurentPoly.monomial(
+        TWISTOR, {"z12": 1, "z21": 1}
+    )
+    return lead, (delta ** a) * LaurentPoly.monomial(TWISTOR, {"z11": b, **poles})
 
 
 def label_of_hwv(section: CochainSection) -> IrrepLabel:
@@ -131,15 +142,7 @@ def label_of_hwv(section: CochainSection) -> IrrepLabel:
     b = top.degree_in("z11") - a
     if b < 0:
         raise PreconditionError("leading z0-term is not of the determinant-power shape")
-    delta = LaurentPoly.monomial(TWISTOR, {"z11": 1, "z22": 1}) - LaurentPoly.monomial(
-        TWISTOR, {"z12": 1, "z21": 1}
-    )
-    pattern = (delta ** a) * LaurentPoly.monomial(
-        TWISTOR, {"z11": b, "zeta1": -1, "zeta2": -1, "zeta3": -1}
-    )
-    lead_key = LaurentPoly.monomial(
-        TWISTOR, {"z0": l, "z11": a + b, "z22": a, "zeta1": -1, "zeta2": -1, "zeta3": -1}
-    ).sole_term()[0]
+    lead_key, pattern = leading_term(a, b, l)
     scale = body.coefficient(lead_key)
     if scale == 0 or top != pattern.scale(scale):
         raise PreconditionError("leading z0-term is not of the determinant-power shape")

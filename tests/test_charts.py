@@ -17,18 +17,17 @@ from monogenic.charts import (
     alpha_plane_basis,
     base_frame,
     bilinear_gram,
-    center_coefficient,
     correspondence_b0,
     correspondence_substitution,
     cp3_transition,
     frame_gram,
     generic_twistor_values,
-    gminus_matrix,
-    matrix_commutator,
     twistor_frame,
     w01_transition,
 )
 from monogenic.laurent import LaurentPoly, PreconditionError
+
+from graded_algebra import center_coefficient, gminus_matrix, matrix_commutator
 
 
 def const(alphabet, value):

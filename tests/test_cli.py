@@ -1,5 +1,7 @@
 """Command-line surface: calibration flow, exit codes, stable output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import monogenic
 from monogenic.calibration import CalibrationConfig, read_config, write_config
@@ -263,6 +267,66 @@ def test_malformed_config_lines_are_rejected(workdir, capsys, config, problem):
     assert code == 3
     assert problem in err and "Traceback" not in err
     assert out == ""
+
+
+# Strings over the expression grammar's tokens: well-formed sums of terms, the
+# same with one stray token spliced in, and token soup.  Each factor pool holds
+# one identifier of the other alphabet, one unknown name and one forbidden
+# negative exponent; exponents stay at most 2 per factor, so z0^6 (about 2 s)
+# is the slowest section within the transform budget.
+GRAMMAR_TOKENS = (
+    "0", "1", "2", "1/2", "5/0", "z0", "zeta1", "x12", "foo", "+", "-", "*", "/", "^", ";", ".",
+)
+
+
+def well_formed(factors):
+    term = st.tuples(
+        st.sampled_from(("", "", "2*", "1/2*", "0*", "3/0*")),
+        st.lists(st.sampled_from(factors), min_size=1, max_size=3).map("*".join),
+    ).map("".join)
+    return st.lists(
+        st.tuples(st.sampled_from((" + ", " - ")), term), min_size=1, max_size=3
+    ).map(lambda terms: "".join(sign + t for sign, t in terms).removeprefix(" + "))
+
+
+def noisy(text):
+    spliced = st.tuples(text, st.sampled_from(GRAMMAR_TOKENS), st.integers(0, 60)).map(
+        lambda x: x[0][: x[2]] + x[1] + x[0][x[2]:]
+    )
+    soup = st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=12).map(" ".join)
+    return st.one_of(text, spliced, soup)
+
+
+section_text = noisy(well_formed(
+    ("z0", "z0^2", "z11", "z32^2", "zeta1^-1", "zeta3^-2", "zeta1", "x12", "w0", "z11^-1")
+))
+component = well_formed(
+    ("x12", "x12^2", "x1_11", "x1_11^2", "x2_32", "x2_32^0", "z0", "w0", "x12^-1")
+)
+spinor_text = noisy(st.lists(component, min_size=4, max_size=4).map(";".join))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    # The calibration file in workdir is shared by every example on purpose.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(("transform", "weight", "act")), section_text),
+        st.tuples(st.just("check-monogenic"), spinor_text),
+    ),
+    st.sampled_from(("A12", "E34", "E99")),
+)
+def test_random_grammar_strings_exit_cleanly(workdir, command_text, root):
+    command, text = command_text
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    option = "--spinor" if command == "check-monogenic" else "--section"
+    argv = [command, f"{option}={text}"] + (["--root", root] if command == "act" else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
 
 
 def test_internal_check_exit_code(capsys, monkeypatch):

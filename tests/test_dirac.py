@@ -18,9 +18,10 @@ from monogenic.cochain import CochainSection
 from monogenic.dirac import (
     DUAL_DIRECTION,
     _basis_var,
-    _central_corrections,
+    _column_image,
     apply_2dirac,
     build_dirac,
+    central_bracket,
     clifford_matrix,
     degree_exponents,
     graded_kernel_dim,
@@ -30,6 +31,14 @@ from monogenic.dirac import (
 from monogenic.laurent import LaurentPoly, PreconditionError, accumulate, matrix_rank
 from monogenic.repn import decompose_Mk
 from monogenic.transform import SpinorField, penrose_transform, weighted_degree
+
+from graded_algebra import (
+    GRADE1_BASIS,
+    basis_matrix,
+    center_coefficient,
+    central_corrections,
+    matrix_commutator,
+)
 
 
 def calibrated():
@@ -45,8 +54,9 @@ def spinor(*components):
 def fraction_stencils(epsilon, clifford_norm):
     # Oracle: the operator written down as Fraction stencils, independently of
     # the integer plan.  stencils[j] holds one (Clifford matrix times the norm,
-    # derivative variable, x12 correction times epsilon) triple per direction.
-    corrections = _central_corrections()
+    # derivative variable, x12 correction times epsilon) triple per direction;
+    # the corrections come from the commutator oracle.
+    corrections = central_corrections()
     return tuple(
         tuple(
             (
@@ -240,9 +250,23 @@ def test_degree_basis_sizes():
     assert len(degree_exponents(4)) == 1444
 
 
-def test_integer_column_image_is_the_scaled_fraction_image():
-    from monogenic.dirac import _column_image
+def test_closed_form_bracket_is_the_commutator_bracket():
+    for v in GRADE1_BASIS:
+        for u in GRADE1_BASIS:
+            bracket = matrix_commutator(basis_matrix(*v), basis_matrix(*u))
+            outside = [bracket[r][c] for r in range(10) for c in range(10) if r < 8 or c > 1]
+            assert not any(outside), (v, u)
+            assert central_bracket(v, u) == center_coefficient(bracket), (v, u)
+    # The operator carries epsilon * kappa/2 * x_v on every d/dx12: the image
+    # of x12 in each slot is exactly the oracle's.
+    (x12,) = LaurentPoly.variable(BASE, "x12").terms
+    for op in (calibrated(), build_dirac(-1, Fraction(2, 3))):
+        for nu in range(4):
+            expected = {key: op.scale * c for key, c in fraction_column_image(op, nu, x12).items()}
+            assert expected and _column_image(op, nu, x12) == expected
 
+
+def test_integer_column_image_is_the_scaled_fraction_image():
     for op in (calibrated(), build_dirac(-1, Fraction(2, 3))):
         for k in range(4):
             for nu in range(4):
@@ -281,7 +305,6 @@ def test_one_sparse_rank_agrees_with_the_blockwise_oracle():
 def test_block_decomposition_agrees_with_one_dense_elimination():
     # The component-wise nullity must equal the nullity of the full stacked
     # matrix computed in one plain exact elimination.
-    from monogenic.dirac import _column_image
     from monogenic.laurent import exact_nullspace
 
     op = calibrated()
