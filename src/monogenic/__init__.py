@@ -42,6 +42,7 @@ from .transform import (
     SpinorField,
     class_is_zero,
     penrose_transform,
+    penrose_transforms,
     transform_is_injective_on,
     weighted_degree,
 )

@@ -26,7 +26,7 @@ from pathlib import Path
 from .charts import BASE, TWISTOR
 from .dirac import DiracOperator, build_dirac, is_monogenic
 from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
-from .transform import SpinorField, penrose_transform
+from .transform import SpinorField, penrose_transform, penrose_transforms
 
 CONFIG_FILENAME = "penrose-calibration.txt"
 REPORT_FILENAME = "penrose-calibration-report.json"
@@ -205,8 +205,7 @@ def third_item_discrepancy(op: DiracOperator) -> dict:
         "companion_transform_vs_reference": companion_rows,
         "completed_transform_vs_reference": completed_rows,
         "companion_section_is_highest_weight": all(
-            penrose_transform(_raised).is_zero()
-            for _raised in _raisings(companion)
+            image.is_zero() for image in penrose_transforms(_raisings(companion))
         ),
         "reference_is_monogenic": is_monogenic(op, reference),
         "companion_transform_is_monogenic": is_monogenic(op, companion_image),

@@ -31,6 +31,7 @@ from .transform import penrose_transform
 KERNEL_DEGREE_LIMIT = 8  # the largest degree measured, about a minute on one core
 HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
 TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s on one core
+DECOMPOSE_DEGREE_LIMIT = 200  # 5,151 summands, 0.34 MB of table; the table grows as degree^2 / 8
 
 
 def _calibration_fields(config: calibration.CalibrationConfig) -> dict:
@@ -191,6 +192,8 @@ def _cmd_kernel_dim(args, config) -> dict:
 
 
 def _cmd_decompose(args, config) -> dict:
+    if args.degree > DECOMPOSE_DEGREE_LIMIT:
+        raise PreconditionError(f"degree is over the decompose limit {DECOMPOSE_DEGREE_LIMIT}")
     rows = []
     total = 0
     for label, descriptor in decompose_Mk(args.degree):

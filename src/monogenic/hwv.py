@@ -2,11 +2,14 @@
 
 A section is a highest weight vector when its class is nonzero and every
 positive simple raising (A12, E12, E23, E34) sends it to a class-zero section;
-class vanishing is decided through the transform.
+class vanishing is decided through the transform, applied by linearity
+(`penrose_transforms`) to the section and its raisings at once.
 
 Completion: the weight of the sought vector pins a finite monomial candidate
 space (z0 degree at most l, pole orders determined by the row sums), and the
-raising conditions become an exact linear system over it.  The solution is
+raising conditions become an exact linear system over it.  The raised
+candidates and the candidates are transformed in one batch, so a monomial
+shared by many raisings reaches the residue only once.  The solution is
 unique only at the level of classes: the candidate space contains combinations
 whose class and whose raised classes all vanish.  That trivial subspace is
 one exact nullspace, of the reduced raising rows stacked over the image
@@ -31,17 +34,16 @@ from .laurent import (
     rref,
 )
 from .repn import leading_term
-from .transform import class_is_zero, penrose_transform
+from .transform import penrose_transforms
 from .transform import spinor_coefficient_rows as _stacked_rows
 
 
 def hwv_test(section: CochainSection) -> bool:
     """Nonzero class annihilated (as a class) by all positive simple raisings."""
-    if class_is_zero(section):
-        return False
-    return all(
-        class_is_zero(g0_action(root, section)) for root in POSITIVE_SIMPLE_ROOTS
+    image, *raised = penrose_transforms(
+        [section] + [g0_action(root, section) for root in POSITIVE_SIMPLE_ROOTS]
     )
+    return not image.is_zero() and all(r.is_zero() for r in raised)
 
 
 def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
@@ -86,11 +88,13 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
         CochainSection(LaurentPoly.from_dict(TWISTOR, {e: 1})) for e in exponents
     ]
 
-    raised_images = [
-        [penrose_transform(g0_action(root, cand)) for root in POSITIVE_SIMPLE_ROOTS]
-        for cand in candidates
-    ]
-    n = len(candidates)
+    n, r = len(candidates), len(POSITIVE_SIMPLE_ROOTS)
+    # One batch by linearity: the raisings share most of their monomials.
+    images = penrose_transforms(
+        [g0_action(root, cand) for cand in candidates for root in POSITIVE_SIMPLE_ROOTS]
+        + candidates
+    )
+    raised_images = [images[i * r:(i + 1) * r] for i in range(n)]
     # The raising rows are eliminated once; both nullspaces start from their RREF.
     reduced_constraints, _ = rref(_stacked_rows(raised_images), n)
     solutions = exact_nullspace(reduced_constraints, n_cols=n)
@@ -98,7 +102,7 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
         raise InternalCheckError(f"no highest weight solution for label {label}")
 
     # Trivial subspace: combinations killed by both the raising and the image rows.
-    image_rows = _stacked_rows([[penrose_transform(cand)] for cand in candidates])
+    image_rows = _stacked_rows([[image] for image in images[n * r:]])
     trivial = exact_nullspace(reduced_constraints + image_rows, n_cols=n)
     if len(solutions) - len(trivial) != 1:
         raise InternalCheckError(

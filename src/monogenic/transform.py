@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .charts import BASE, CORRESPONDENCE, ZETA_VARS, correspondence_substitution
+from .charts import BASE, CORRESPONDENCE, TWISTOR, ZETA_VARS, correspondence_substitution
 from .cochain import CochainSection
 from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, exact_nullspace
 
 _X12_SLOT = BASE.index["x12"]
+_ZETA_SLOTS = tuple(TWISTOR.index[name] for name in ZETA_VARS)
 
 
 def weighted_degree(exps: Exponents) -> int:
@@ -82,6 +83,34 @@ def penrose_transform(section: CochainSection) -> SpinorField:
     return SpinorField(tuple(components))
 
 
+def penrose_transforms(sections: Sequence[CochainSection]) -> list[SpinorField]:
+    """The transforms of many sections by linearity: one residue per distinct monomial.
+
+    A monomial with a zeta exponent >= 0 has the zero image, with no
+    substitution: every binding has non-negative zeta exponents and the weight
+    vector adds at most one, so no term reaches zeta^-1 in that slot.  Every
+    other distinct monomial is transformed once by `penrose_transform`.
+    """
+    images: dict[Exponents, SpinorField | None] = {}
+    for section in sections:
+        for exps in section.body.terms:
+            if exps in images:
+                continue
+            reaches_residue = all(exps[i] < 0 for i in _ZETA_SLOTS)
+            images[exps] = penrose_transform(CochainSection.from_terms({exps: 1})) if reaches_residue else None
+    return [
+        SpinorField(tuple(
+            LaurentPoly.sum(BASE, (
+                images[exps].components[m].scale(c)
+                for exps, c in section.body.terms.items()
+                if images[exps] is not None
+            ))
+            for m in range(4)
+        ))
+        for section in sections
+    ]
+
+
 def class_is_zero(section: CochainSection) -> bool:
     """Cohomological vanishing, tested through the transform isomorphism."""
     return penrose_transform(section).is_zero()
@@ -105,7 +134,5 @@ def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[list[F
 
 def transform_is_injective_on(sections: list[CochainSection]) -> bool:
     """True iff no nonzero rational combination of the sections has zero image."""
-    if not sections:
-        return True
-    rows = spinor_coefficient_rows([[penrose_transform(s)] for s in sections])
+    rows = spinor_coefficient_rows([[image] for image in penrose_transforms(sections)])
     return not exact_nullspace(rows, n_cols=len(sections))

@@ -157,12 +157,13 @@ BUDGET_CASES = [
     (["hwv", "--a", "2", "--b", "3", "--l", "0"], "hwv limit 6"),
     (["transform", "--section", "z0^999999*zeta1^-1*zeta2^-1*zeta3^-1"], "transform limit 12"),
     (["transform", "--section", "z0 + z0^6*z11*zeta1^-1*zeta2^-1*zeta3^-1"], "transform limit 12"),
+    (["decompose", "--degree", "100000"], "decompose limit 200"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, limit", BUDGET_CASES,
-    ids=["kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed"],
+    ids=["kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed", "decompose-big"],
 )
 def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypatch, argv, limit):
     import monogenic.cli as cli
@@ -173,6 +174,7 @@ def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypat
     monkeypatch.setattr(cli, "graded_kernel_dim", unreachable)
     monkeypatch.setattr(cli, "hwv_complete", unreachable)
     monkeypatch.setattr(cli, "penrose_transform", unreachable)
+    monkeypatch.setattr(cli, "decompose_Mk", unreachable)
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
     code, out, err = run(capsys, *argv)
     assert code == 3
@@ -196,10 +198,12 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
     assert run(capsys, "kernel-dim", "--degree", "8")[0] == 0
     assert run(capsys, "hwv", "--a", "1", "--b", "2", "--l", "1")[0] == 0
+    monkeypatch.setattr(cli, "decompose_Mk", lambda k: calls.append(k) or [])
+    assert run(capsys, "decompose", "--degree", "200")[0] == 0
     monkeypatch.setattr(cli, "penrose_transform", lambda section: calls.append(section) or SpinorField.zero())
     section = "z0^5*z11*z32*zeta1^-1*zeta2^-1*zeta3^-1"
     assert run(capsys, "transform", "--section", section)[0] == 0
-    assert calls == [8, (1, 2, 1), parse_section(section)]
+    assert calls == [8, (1, 2, 1), 200, parse_section(section)]
 
 
 def test_parse_error_exit_code(capsys):

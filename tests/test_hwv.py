@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from monogenic.calibration import CalibrationConfig, build_calibrated
 from monogenic.cochain import CochainSection, weight_of_monomial
+from monogenic.dirac import is_monogenic
 from monogenic.hwv import candidate_exponents, hwv_complete, hwv_test
 from monogenic.laurent import PreconditionError
 from monogenic.repn import label_of_hwv, module_descriptor
 from monogenic.charts import TWISTOR
+from monogenic.transform import penrose_transform
 
 
 def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
@@ -66,13 +69,16 @@ def test_complete_001_candidates_cover_the_weight_space():
         assert w.same_sl4(lead)
 
 
-ALL_LABELS = [
-    (a, b, l)
-    for k in range(5)
-    for l in range(k // 2 + 1)
-    for a in range((k - 2 * l) // 2 + 1)
-    for b in (k - 2 * l - 2 * a,)
-]
+def labels_of_degree(k):
+    return [
+        (a, b, l)
+        for l in range(k // 2 + 1)
+        for a in range((k - 2 * l) // 2 + 1)
+        for b in (k - 2 * l - 2 * a,)
+    ]
+
+
+ALL_LABELS = [label for k in range(5) for label in labels_of_degree(k)]
 
 
 # Canonical hwv_complete strings for the labels with l >= 1 and degree <= 4.
@@ -139,21 +145,44 @@ def test_complete_pinned_strings(label):
     assert hwv_complete(label).body.to_string() == PINNED_BODIES[label]
 
 
+def assert_round_trip(a, b, l):
+    section = hwv_complete((a, b, l))
+    assert hwv_test(section)
+    label = label_of_hwv(section)
+    assert (label.a, label.b, label.l) == (a, b, l)
+    descriptor = module_descriptor(label)
+    lead = weight_of_monomial(
+        mono(s0=l, z={k: v for k, v in (("z11", a + b), ("z22", a)) if v}, poles=(1, 1, 1))
+    )
+    assert lead.gl2 == descriptor.gl2_weight
+    assert lead.gl4_normalized() == tuple(
+        v - descriptor.sl4_weight[3] for v in descriptor.sl4_weight
+    )
+    return section
+
+
 def test_round_trip_all_labels_up_to_degree_four():
     assert len(ALL_LABELS) == 14
-    for a, b, l in ALL_LABELS:
-        section = hwv_complete((a, b, l))
-        assert hwv_test(section)
-        label = label_of_hwv(section)
-        assert (label.a, label.b, label.l) == (a, b, l)
-        descriptor = module_descriptor(label)
-        lead = weight_of_monomial(
-            mono(s0=l, z={k: v for k, v in (("z11", a + b), ("z22", a)) if v}, poles=(1, 1, 1))
-        )
-        assert lead.gl2 == descriptor.gl2_weight
-        assert lead.gl4_normalized() == tuple(
-            v - descriptor.sl4_weight[3] for v in descriptor.sl4_weight
-        )
+    for label in ALL_LABELS:
+        assert_round_trip(*label)
+
+
+def assert_round_trip_monogenic(k):
+    op = build_calibrated(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)))
+    for label in labels_of_degree(k):
+        image = penrose_transform(assert_round_trip(*label))
+        assert not image.is_zero() and is_monogenic(op, image), label
+
+
+def test_round_trip_degree_five_labels():
+    assert len(labels_of_degree(5)) == 6
+    assert_round_trip_monogenic(5)
+
+
+@pytest.mark.slow
+def test_round_trip_degree_six_labels():
+    assert len(labels_of_degree(6)) == 10
+    assert_round_trip_monogenic(6)
 
 
 def test_complete_rejects_negative_labels():

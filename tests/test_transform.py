@@ -4,13 +4,17 @@ linearity, grading, vanishing and injectivity."""
 import random
 from fractions import Fraction
 
-from monogenic.charts import BASE, TWISTOR, Z_VARS
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from monogenic.charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
 from monogenic.cochain import Certificate, CochainSection, triviality_certificate
 from monogenic.laurent import LaurentPoly
 from monogenic.transform import (
     SpinorField,
     class_is_zero,
     penrose_transform,
+    penrose_transforms,
     transform_is_injective_on,
     weighted_degree,
 )
@@ -231,6 +235,42 @@ def test_linearity():
         lhs = penrose_transform(combo)
         rhs = penrose_transform(f).scale(a) + penrose_transform(g).scale(b)
         assert lhs.components == rhs.components
+
+
+def test_bindings_carry_no_zeta_poles():
+    # The certificate behind penrose_transforms' zero rule: the zetas pass
+    # through unbound and no binding has a negative zeta exponent, so a
+    # monomial with a zeta exponent >= 0 never reaches zeta^-1 in that slot.
+    bindings = correspondence_substitution()
+    assert set(bindings) == {"z0", *Z_VARS}
+    slots = [CORRESPONDENCE.index[name] for name in ZETA_VARS]
+    for value in bindings.values():
+        assert all(exps[i] >= 0 for exps in value.terms for i in slots)
+
+
+# Pole orders down to -1, so many monomials carry a zeta exponent >= 0.
+monomial_exponents = st.builds(
+    lambda s0, z, poles: mono(s0=s0, z=z, poles=poles).body.sole_term()[0],
+    st.integers(0, 2),
+    st.dictionaries(st.sampled_from(Z_VARS), st.integers(1, 2), max_size=2),
+    st.tuples(*[st.integers(-1, 3)] * 3),
+)
+# Sections drawn over one small pool of monomials, so they share terms.
+shared_sections = st.lists(monomial_exponents, min_size=1, max_size=6, unique=True).flatmap(
+    lambda pool: st.lists(
+        st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=len(pool)).map(
+            CochainSection.from_terms
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_sections)
+def test_batched_transforms_equal_single_transforms(sections):
+    assert penrose_transforms(sections) == [penrose_transform(s) for s in sections]
 
 
 def test_degree_homogeneity_of_images():
