@@ -43,7 +43,6 @@ from .transform import (
     class_is_zero,
     penrose_transform,
     penrose_transforms,
-    transform_is_injective_on,
     weighted_degree,
 )
 from .dirac import (

@@ -22,13 +22,13 @@ from . import calibration
 from .cochain import ROOT_NAMES, CochainSection, g0_action, weight_of_monomial
 from .dirac import apply_2dirac, graded_kernel_dim
 from .expr import ParseError, parse_section, parse_spinor
-from .hwv import hwv_complete
+from .hwv import _complete_with_image
 from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
 from .repn import decompose_Mk
 from .transform import penrose_transform
 
 # Input budgets: past these an exact run takes minutes to hours, not seconds.
-KERNEL_DEGREE_LIMIT = 8  # the largest degree measured, about a minute on one core
+KERNEL_DEGREE_LIMIT = 8  # the largest degree measured, about 6 s on one core
 HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
 TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s on one core
 DECOMPOSE_DEGREE_LIMIT = 200  # 5,151 summands, 0.34 MB of table; the table grows as degree^2 / 8
@@ -219,8 +219,7 @@ def _cmd_decompose(args, config) -> dict:
 def _cmd_hwv(args, config) -> dict:
     if 2 * args.a + args.b + 2 * args.l > HWV_DEGREE_LIMIT:
         raise PreconditionError(f"label degree 2a + b + 2l is over the hwv limit {HWV_DEGREE_LIMIT}")
-    section = hwv_complete((args.a, args.b, args.l))
-    image = penrose_transform(section)
+    section, image = _complete_with_image((args.a, args.b, args.l))
     return _document(
         "hwv",
         {"a": args.a, "b": args.b, "l": args.l},

@@ -19,6 +19,8 @@ monogenic spinors (see calibration.py).
 
 The operator is homogeneous of degree -1 for deg(x12)=2, deg(x^k_ij)=1, which
 is what makes the graded kernels finite-dimensional and exactly computable.
+It also preserves the GL(2) x GL(4) torus weight and commutes with the Weyl
+group, which is how `graded_kernel_dim` counts (weyl.py).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from operator import add
 from typing import Iterator
 
 from .charts import BASE, LAMBDA2_BASIS
-from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, accumulate, matrix_rank
+from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, accumulate
 from .transform import SpinorField
 
 DIRECTIONS = ("e3", "e4", "e5", "eb3", "eb4", "eb5")
@@ -213,17 +215,11 @@ def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, in
 def graded_kernel_dim(op: DiracOperator, k: int) -> int:
     """Exact dimension of the space of degree-k spinors killed by both operators.
 
-    Each basis spinor's integer image is one sparse row over int ids of the
-    output coordinates, and the nullity is the column count minus one
-    `matrix_rank` of those rows (rank(A) = rank(A^T)).  No block search is
-    needed: the echelon reduces a row only by a pivot sharing its leading
-    column, so rows of different connected components never meet.
+    Counted one dominant weight block per Weyl orbit, behind an exact
+    equivariance certificate: see `weyl.orbit_kernel_dim`.
     """
-    basis = degree_exponents(k)
-    row_id: dict[tuple[int, int, Exponents], int] = {}
-    images = [
-        {row_id.setdefault(key, len(row_id)): w for key, w in _column_image(op, nu, exps).items()}
-        for nu in range(4)
-        for exps in basis
-    ]
-    return len(images) - matrix_rank(images, n_cols=len(row_id))
+    # Imported on first use: only a kernel count needs the Weyl group, and
+    # every process that imports the package would otherwise compile it.
+    from .weyl import orbit_kernel_dim
+
+    return orbit_kernel_dim(op, k)

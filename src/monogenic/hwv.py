@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import TWISTOR, ZETA_VARS
+from .charts import BASE, TWISTOR, ZETA_VARS
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection, g0_action
 from .dirac import _compositions
 from .laurent import (
@@ -34,7 +34,7 @@ from .laurent import (
     rref,
 )
 from .repn import leading_term
-from .transform import penrose_transforms
+from .transform import SpinorField, penrose_transforms
 from .transform import spinor_coefficient_rows as _stacked_rows
 
 
@@ -78,6 +78,16 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     Raises InternalCheckError if the linear system fails to have a unique
     class-level solution (which would falsify the uniqueness statement the
     construction relies on).
+    """
+    return _complete_with_image(label)[0]
+
+
+def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, SpinorField]:
+    """`hwv_complete` and the transform of its section.
+
+    The image is sum_e c_e T(candidate_e) over the representative's
+    coefficients, from the candidate images the completion already has, so
+    the section is not transformed again.
     """
     a, b, l = label
     if min(a, b, l) < 0:
@@ -139,4 +149,10 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
         raise InternalCheckError(f"label {label}: z0 degree is not {l}")
     if body.coefficient_of(("z0",), (l,)) != expected_top:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
-    return section
+    image = SpinorField(tuple(
+        LaurentPoly.sum(BASE, (
+            field.components[m].scale(c) for field, c in zip(images[n * r:], representative) if c
+        ))
+        for m in range(4)
+    ))
+    return section, image

@@ -532,8 +532,8 @@ def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
     return echelon, pivots
 
 
-def matrix_rank(rows: list[Row], n_cols: int | None = None) -> int:
-    """Exact rank of a rational matrix via `_echelon`; `n_cols`, the width, is not needed."""
+def matrix_rank(rows: list[Row]) -> int:
+    """Exact rank of a rational matrix via `_echelon`."""
     return len(_echelon(rows)[1])
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .charts import BASE, CORRESPONDENCE, TWISTOR, ZETA_VARS, correspondence_substitution
 from .cochain import CochainSection
-from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, exact_nullspace
+from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar
 
 _X12_SLOT = BASE.index["x12"]
 _ZETA_SLOTS = tuple(TWISTOR.index[name] for name in ZETA_VARS)
@@ -130,9 +130,3 @@ def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[list[F
         [fields[slot].components[m].coefficient(e) for fields in columns]
         for (slot, m, e) in sorted(coords)
     ]
-
-
-def transform_is_injective_on(sections: list[CochainSection]) -> bool:
-    """True iff no nonzero rational combination of the sections has zero image."""
-    rows = spinor_coefficient_rows([[image] for image in penrose_transforms(sections)])
-    return not exact_nullspace(rows, n_cols=len(sections))

@@ -1,0 +1,223 @@
+"""The Weyl symmetry of the 2-Dirac operator, and graded kernels counted by it.
+
+A basis spinor x^e (x) f_nu has a torus weight of GL(2) x GL(4) in Z^2 x Z^4,
+and the operator preserves it, so its matrix on degree-k spinors splits into
+weight blocks.  The Weyl group S2 x S4 acts on spinors and on the operator's
+outputs by signed permutations P and Q, and D P = Q D, so the blocks of one
+Weyl orbit have equal size and rank.  Both facts are checked exactly, once
+per operator, before a kernel is counted (`_certify_weyl_symmetry`); the
+count then ranks only the blocks of dominant weight.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import product
+from operator import mul
+from typing import NamedTuple
+
+from .charts import BASE
+from .dirac import (
+    LAMBDA2_IMAGE,
+    DiracOperator,
+    _basis_var,
+    _column_image,
+    _direction,
+    _volume_coefficient,
+    degree_exponents,
+)
+from .laurent import Exponents, InternalCheckError, matrix_rank
+
+
+# A torus weight of GL(2) x GL(4) is six ints (c0, c1 | f0, f1, f2, f3).
+def _unit(*axes: int) -> tuple[int, ...]:
+    return tuple(axes.count(t) for t in range(6))
+
+
+_X12 = BASE.index["x12"]
+_LINEAR = {BASE.index[_basis_var(*u)]: u for u in product((1, 2), range(3), range(2))}
+_VARIABLE_OF_DIRECTION = {_direction(b, i): (b, i) for b, i in product((1, 2), range(3))}
+_DIRECTION_OF_PAIR = {pair: d for d, (pair, _) in LAMBDA2_IMAGE.items()}
+
+# x_{block,i,j} weighs c_j + f_a + f_b, (a, b) the pair of its direction; x12 weighs (1, 1 | 1, 1, 1, 1).
+_VARIABLE_WEIGHTS = tuple(
+    _unit(0, 1, 2, 3, 4, 5) if s == _X12
+    else _unit(_LINEAR[s][2], *(2 + a for a in LAMBDA2_IMAGE[_direction(*_LINEAR[s][:2])][0]))
+    for s in range(len(BASE))
+)
+
+
+def _weight(exps: Exponents) -> tuple[int, ...]:
+    """Torus weight of a base monomial (or of a plan's exponent shift)."""
+    return tuple(sum(e * w[t] for e, w in zip(exps, _VARIABLE_WEIGHTS)) for t in range(6))
+
+
+def _output_weight(j: int, mu: int, exps: Exponents) -> tuple[int, ...]:
+    """Weight of the output coordinate (j, mu, exps): w(exps) + c_j + (1, 1, 1, 1) - f_mu."""
+    return tuple(w + c - f for w, c, f in zip(_weight(exps), _unit(j, 2, 3, 4, 5), _unit(2 + mu)))
+
+
+class WeylGenerator(NamedTuple):
+    """A simple reflection of S2 x S4 as signed permutations P of spinors and Q of outputs.
+
+    P sends x^e (x) f_nu to the product of the images ``variables[s] =
+    (target, sign)`` of its variables, times f_slots[nu]; Q sends the output
+    coordinate (j, mu, e) to output_sign times (halves[j], slots[mu], the
+    image of x^e).
+    """
+
+    variables: tuple[tuple[int, int], ...]
+    halves: tuple[int, int]
+    slots: tuple[int, int, int, int]
+    output_sign: int
+
+    def monomial(self, exps: Exponents) -> tuple[int, Exponents]:
+        """(sign, exponents) of the image of x^e."""
+        image, sign = [0] * len(exps), 1
+        for (target, s), e in zip(self.variables, exps):
+            image[target] = e
+            if s < 0 and e % 2:
+                sign = -sign
+        return sign, tuple(image)
+
+    def weight(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        """The weight moved: c_j to c_halves[j] and f_a to f_slots[a]."""
+        image = [0] * 6
+        for t, v in zip(self.halves + tuple(2 + a for a in self.slots), w):
+            image[t] = v
+        return tuple(image)
+
+    def image(self, op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
+        """D(P(x^e (x) f_nu)) as a column image."""
+        sign, moved = self.monomial(exps)
+        return {key: sign * w for key, w in _column_image(op, self.slots[nu], moved).items()}
+
+    def moved_image(self, op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
+        """Q(D(x^e (x) f_nu)) as a column image."""
+        out = {}
+        for (j, mu, e), w in _column_image(op, nu, exps).items():
+            sign, moved = self.monomial(e)
+            out[self.halves[j], self.slots[mu], moved] = self.output_sign * sign * w
+        return out
+
+
+def _weyl_generator(halves: tuple[int, int], tau: tuple[int, int, int, int]) -> WeylGenerator:
+    """The generator that permutes the GL(2) axes by `halves` and the GL(4) axes by `tau`.
+
+    A variable's direction, the signed 2-form s f_a^f_b, goes to
+    s f_tau(a)^f_tau(b), a signed basis direction; x12, of top weight, takes
+    the signs of both permutations, and every output the sign of tau.
+    """
+    det = _volume_coefficient(tau)  # the sign of tau
+    variables = {_X12: (_X12, det * (-1 if halves[0] else 1))}
+    for s, (block, i, j) in _LINEAR.items():
+        (a, b), sign = LAMBDA2_IMAGE[_direction(block, i)]
+        ta, tb = tau[a], tau[b]
+        direction = _DIRECTION_OF_PAIR[min(ta, tb), max(ta, tb)]
+        target = BASE.index[_basis_var(*_VARIABLE_OF_DIRECTION[direction], halves[j])]
+        variables[s] = (target, sign * LAMBDA2_IMAGE[direction][1] * (1 if ta < tb else -1))
+    return WeylGenerator(tuple(variables[s] for s in range(len(BASE))), halves, tau, det)
+
+
+# The swap of S2 and the three adjacent transpositions of S4 generate S2 x S4.
+WEYL_GENERATORS = (
+    _weyl_generator((1, 0), (0, 1, 2, 3)),
+    _weyl_generator((0, 1), (1, 0, 2, 3)),
+    _weyl_generator((0, 1), (0, 2, 1, 3)),
+    _weyl_generator((0, 1), (0, 1, 3, 2)),
+)
+
+
+@lru_cache(maxsize=None)
+def _certify_weyl_symmetry(op: DiracOperator) -> None:
+    """Certify, exactly and once per operator, the symmetry `graded_kernel_dim` counts by.
+
+    Raises InternalCheckError unless:
+    - every plan entry preserves weight, and the shifts of one slot are
+      distinct, so `_column_image` never writes two entries to one key;
+    - each generator moves the weight of every variable and slot as it moves
+      weights, so P maps the columns of weight lambda onto those of g(lambda);
+    - D(P(x_s (x) f_nu)) = Q(D(x_s (x) f_nu)) for every variable s and slot nu.
+      The plan makes D first order with no zeroth-order term,
+      D(p f_nu) = sum_s (dp/dx_s) L_s with L_s = D(x_s (x) f_nu), and P and Q
+      act on coefficients by one signed substitution of variables, so by the
+      chain rule this gives D P = Q D on every polynomial spinor.
+    """
+    for nu, slot in enumerate(op.plan):
+        if len({delta for _, delta, _ in slot}) != len(slot):
+            raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")
+        for _, delta, outputs in slot:
+            if any(_output_weight(j, mu, delta) != _unit(2 + nu) for j, mu, _ in outputs):
+                raise InternalCheckError(f"slot {nu}: the plan entry {delta} does not preserve weight")
+    units = [tuple(int(t == s) for t in range(len(BASE))) for s in range(len(BASE))]
+    for g in WEYL_GENERATORS:
+        if any(_weight(g.monomial(x)[1]) != g.weight(_weight(x)) for x in units) or any(
+            _unit(2 + g.slots[nu]) != g.weight(_unit(2 + nu)) for nu in range(4)
+        ):
+            raise InternalCheckError(f"the Weyl generator {g.halves, g.slots} does not move weights")
+        for x, nu in product(units, range(4)):
+            if g.image(op, nu, x) != g.moved_image(op, nu, x):
+                raise InternalCheckError(
+                    f"the operator does not commute with the Weyl generator {g.halves, g.slots} "
+                    f"on slot {nu}, monomial {x}"
+                )
+
+
+def _unpack(key: int, base: int) -> tuple[int, ...]:
+    """The weight packed into `key`, coordinate t as digit t in `base`."""
+    digits = []
+    for _ in range(6):
+        key, v = divmod(key, base)
+        digits.append(v)
+    return tuple(digits)
+
+
+def _orbit_size(w: tuple[int, ...]) -> int:
+    """|W.w| for W = S2 x S4: the product of the two multinomials."""
+    size = 1
+    for part in (w[:2], w[2:]):
+        size *= math.factorial(len(part))
+        for v in set(part):
+            size //= math.factorial(part.count(v))
+    return size
+
+
+def orbit_kernel_dim(op: DiracOperator, k: int) -> int:
+    """Exact dimension of the space of degree-k spinors killed by both operators.
+
+    The operator preserves the GL(2) x GL(4) torus weight w(e) + f_nu of a
+    basis spinor x^e (x) f_nu and commutes with the Weyl group S2 x S4 acting
+    by signed permutations; `_certify_weyl_symmetry` checks both once per
+    operator.  So the matrix splits into weight blocks, and the blocks of one
+    Weyl orbit have equal size and rank: the nullity is the sum over dominant
+    weights lambda of |W.lambda| * (n_lambda - rank B_lambda).  Only the
+    columns of dominant weight are imaged, and each block is one sparse
+    `matrix_rank` of their integer column images (rank(A) = rank(A^T)).
+    """
+    _certify_weyl_symmetry(op)
+    # Weights are packed into one int, coordinate t as digit t in base k + 2:
+    # every coordinate of a degree-k spinor lies in 0..k+1.
+    base = k + 2
+    packed = [sum(v * base**t for t, v in enumerate(w)) for w in _VARIABLE_WEIGHTS]
+    slots = [base ** (2 + nu) for nu in range(4)]
+    dominant: dict[int, tuple[int, ...] | None] = {}  # packed weight -> the weight, if dominant
+    blocks: dict[int, list[tuple[int, Exponents]]] = {}
+    for exps in degree_exponents(k):
+        w = sum(map(mul, exps, packed))
+        for nu, f in enumerate(slots):
+            key = w + f
+            if key not in dominant:
+                lam = _unpack(key, base)
+                dominant[key] = lam if lam[0] >= lam[1] and lam[2] >= lam[3] >= lam[4] >= lam[5] else None
+            if dominant[key]:
+                blocks.setdefault(key, []).append((nu, exps))
+    nullity = 0
+    for key, columns in blocks.items():
+        row_id: dict[tuple[int, int, Exponents], int] = {}
+        images = [
+            {row_id.setdefault(out, len(row_id)): w for out, w in _column_image(op, nu, exps).items()}
+            for nu, exps in columns
+        ]
+        nullity += _orbit_size(dominant[key]) * (len(images) - matrix_rank(images))
+    return nullity

@@ -172,7 +172,7 @@ def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypat
         raise AssertionError("the input budget should refuse this before computing")
 
     monkeypatch.setattr(cli, "graded_kernel_dim", unreachable)
-    monkeypatch.setattr(cli, "hwv_complete", unreachable)
+    monkeypatch.setattr(cli, "_complete_with_image", unreachable)
     monkeypatch.setattr(cli, "penrose_transform", unreachable)
     monkeypatch.setattr(cli, "decompose_Mk", unreachable)
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
@@ -193,7 +193,9 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "graded_kernel_dim", lambda op, k: calls.append(k) or 97240)
     monkeypatch.setattr(
-        cli, "hwv_complete", lambda label: calls.append(label) or CochainSection(LaurentPoly.zero(TWISTOR))
+        cli,
+        "_complete_with_image",
+        lambda label: calls.append(label) or (CochainSection(LaurentPoly.zero(TWISTOR)), SpinorField.zero()),
     )
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
     assert run(capsys, "kernel-dim", "--degree", "8")[0] == 0
@@ -341,7 +343,7 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     def boom(label):
         raise InternalCheckError("completion system inconsistent")
 
-    monkeypatch.setattr(cli, "hwv_complete", boom)
+    monkeypatch.setattr(cli, "_complete_with_image", boom)
     code, _, err = run(capsys, "hwv", "--a", "0", "--b", "0", "--l", "0")
     assert code == 4
     assert "internal check failed" in err

@@ -17,6 +17,7 @@ from monogenic.charts import BASE, Z_VARS
 from monogenic.cochain import CochainSection
 from monogenic.dirac import (
     DUAL_DIRECTION,
+    DiracOperator,
     _basis_var,
     _column_image,
     apply_2dirac,
@@ -28,9 +29,16 @@ from monogenic.dirac import (
     is_monogenic,
     quadratic_form,
 )
-from monogenic.laurent import LaurentPoly, PreconditionError, accumulate, matrix_rank
+from monogenic.laurent import (
+    InternalCheckError,
+    LaurentPoly,
+    PreconditionError,
+    accumulate,
+    matrix_rank,
+)
 from monogenic.repn import decompose_Mk
 from monogenic.transform import SpinorField, penrose_transform, weighted_degree
+from monogenic.weyl import WEYL_GENERATORS
 
 from graded_algebra import (
     GRADE1_BASIS,
@@ -144,8 +152,21 @@ def blockwise_kernel_dim(op, k):
     for cols in groups.values():
         row_keys = sorted({key for col in cols for key in images[col]})
         dense = [[images[col].get(key, 0) for col in cols] for key in row_keys]
-        nullity += len(cols) - matrix_rank(dense, n_cols=len(cols))
+        nullity += len(cols) - matrix_rank(dense)
     return nullity
+
+
+def global_kernel_dim(op, k):
+    # Oracle: every basis spinor's integer image is one sparse row over int ids
+    # of the output coordinates, and the nullity is the column count minus one
+    # global `matrix_rank` of those rows, with no weights and no Weyl group.
+    row_id = {}
+    images = [
+        {row_id.setdefault(key, len(row_id)): w for key, w in _column_image(op, nu, exps).items()}
+        for nu in range(4)
+        for exps in degree_exponents(k)
+    ]
+    return len(images) - matrix_rank(images)
 
 
 def test_clifford_wedge_examples():
@@ -235,12 +256,22 @@ def test_graded_kernel_dimensions_match_the_enumeration():
         assert graded_kernel_dim(op, k) == expected
 
 
-@pytest.mark.slow
+def assert_kernel_dimension(k, expected):
+    assert sum(d.dimension for _, d in decompose_Mk(k)) == expected
+    assert graded_kernel_dim(calibrated(), k) == expected
+
+
 def test_graded_kernel_dimension_degree_six():
-    op = calibrated()
-    expected = sum(d.dimension for _, d in decompose_Mk(6))
-    assert expected == 20020
-    assert graded_kernel_dim(op, 6) == expected
+    assert_kernel_dimension(6, 20020)
+
+
+def test_graded_kernel_dimension_degree_seven():
+    assert_kernel_dimension(7, 45760)
+
+
+@pytest.mark.slow
+def test_graded_kernel_dimension_degree_eight():
+    assert_kernel_dimension(8, 97240)
 
 
 def test_degree_basis_sizes():
@@ -294,6 +325,50 @@ base_polys = st.dictionaries(
 def test_apply_2dirac_is_the_stencil_operator(conventions, field):
     op = build_dirac(*conventions)  # (1, 1) is the calibrated operator
     assert apply_2dirac(op, field) == stencil_apply_2dirac(op, field)
+
+
+OPERATORS = ((1, 1), (-1, 1), (-1, Fraction(2, 3)))  # (1, 1) is the calibrated operator
+
+
+@pytest.mark.parametrize("conventions", OPERATORS)
+def test_orbit_count_agrees_with_the_global_rank(conventions):
+    op = build_dirac(*conventions)
+    for k in range(6):
+        assert graded_kernel_dim(op, k) == global_kernel_dim(op, k)
+
+
+@pytest.mark.parametrize("conventions", OPERATORS)
+def test_weyl_generators_commute_with_the_plan(conventions):
+    # D(P(x^e f_nu)) = Q(D(x^e f_nu)) on every basis spinor of degree 1 and 2,
+    # beyond the linear spinors the certificate checks.
+    op = build_dirac(*conventions)
+    for g in WEYL_GENERATORS:
+        for nu in range(4):
+            for exps in degree_exponents(1) + degree_exponents(2):
+                assert g.image(op, nu, exps) == g.moved_image(op, nu, exps), (g, nu, exps)
+
+
+def with_entry(op, nu, e, entry):
+    # The operator with plan entry e of slot nu replaced.
+    plan = list(op.plan)
+    plan[nu] = plan[nu][:e] + (entry,) + plan[nu][e + 1:]
+    return DiracOperator(op.epsilon, op.clifford_norm, tuple(plan), op.scale)
+
+
+def test_a_broken_plan_fails_the_certificate():
+    op = calibrated()
+    for nu, slot in enumerate(op.plan):
+        for e, (s, delta, outputs) in enumerate(slot):
+            (j, mu, w), rest = outputs[0], outputs[1:]
+            # Negating any one output weight breaks the Weyl symmetry.
+            with pytest.raises(InternalCheckError, match="does not commute"):
+                graded_kernel_dim(with_entry(op, nu, e, (s, delta, ((j, mu, -w),) + rest)), 2)
+            # Sending it to another output slot breaks the weight blocks.
+            with pytest.raises(InternalCheckError, match="does not preserve weight"):
+                graded_kernel_dim(with_entry(op, nu, e, (s, delta, ((j, (mu + 1) % 4, w),) + rest)), 2)
+        # Two entries with one shift would overwrite each other's images.
+        with pytest.raises(InternalCheckError, match="share an exponent shift"):
+            graded_kernel_dim(with_entry(op, nu, 1, slot[0]), 2)
 
 
 def test_one_sparse_rank_agrees_with_the_blockwise_oracle():

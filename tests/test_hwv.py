@@ -7,7 +7,7 @@ import pytest
 from monogenic.calibration import CalibrationConfig, build_calibrated
 from monogenic.cochain import CochainSection, weight_of_monomial
 from monogenic.dirac import is_monogenic
-from monogenic.hwv import candidate_exponents, hwv_complete, hwv_test
+from monogenic.hwv import _complete_with_image, candidate_exponents, hwv_complete, hwv_test
 from monogenic.laurent import PreconditionError
 from monogenic.repn import label_of_hwv, module_descriptor
 from monogenic.charts import TWISTOR
@@ -185,13 +185,21 @@ def test_round_trip_degree_six_labels():
     assert_round_trip_monogenic(6)
 
 
+def test_completion_image_is_the_transform_of_the_section():
+    # The image summed from the candidate images, which `penrose hwv` prints,
+    # is the transform of the completed section itself.
+    for label in ALL_LABELS + labels_of_degree(5):
+        section, image = _complete_with_image(label)
+        assert image == penrose_transform(section), label
+
+
 def test_complete_rejects_negative_labels():
     with pytest.raises(PreconditionError):
         hwv_complete((0, -1, 0))
 
 
 def test_completed_vectors_have_independent_images():
-    from monogenic.transform import transform_is_injective_on
+    from test_transform import transform_is_injective_on
 
     sections = [hwv_complete(label) for label in ALL_LABELS if sum(label) <= 2]
     assert len(sections) >= 5

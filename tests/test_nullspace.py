@@ -110,14 +110,14 @@ def test_random_50_by_80_rank_nullity():
         for _ in range(50)
     ]
     basis = exact_nullspace(rows, n_cols=80)
-    rank = matrix_rank(rows, n_cols=80)
+    rank = matrix_rank(rows)
     assert rank + len(basis) == 80
     assert rank == len(plain_gauss_jordan(rows, 80)[1])
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     # basis vectors are linearly independent: stacking them has full rank
-    assert matrix_rank(basis, n_cols=80) == len(basis)
+    assert matrix_rank(basis) == len(basis)
 
 
 @st.composite
@@ -137,8 +137,8 @@ def small_matrices(draw):
 def test_nullspace_properties(data):
     rows, n_cols = data
     basis = exact_nullspace(rows, n_cols=n_cols)
-    assert matrix_rank(rows, n_cols=n_cols) + len(basis) == n_cols
-    assert matrix_rank(rows, n_cols=n_cols) == len(plain_gauss_jordan(rows, n_cols)[1])
+    assert matrix_rank(rows) + len(basis) == n_cols
+    assert matrix_rank(rows) == len(plain_gauss_jordan(rows, n_cols)[1])
     for v in basis:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
@@ -203,8 +203,8 @@ def test_rref_and_nullspace_match_the_gauss_jordan_oracle(data):
     rows, n_cols = data
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
     reduced, pivots = plain_gauss_jordan(rows, n_cols)
-    assert matrix_rank(rows, n_cols=n_cols) == bareiss_rank(rows, n_cols) == len(pivots)
-    assert matrix_rank(sparse, n_cols=n_cols) == len(pivots)
+    assert matrix_rank(rows) == bareiss_rank(rows, n_cols) == len(pivots)
+    assert matrix_rank(sparse) == len(pivots)
     assert rref(rows, n_cols) == rref(sparse, n_cols) == (reduced, pivots)
     assert exact_nullspace(rows, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
     assert exact_nullspace(sparse, n_cols=n_cols) == oracle_nullspace(rows, n_cols)

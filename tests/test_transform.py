@@ -9,15 +9,22 @@ from hypothesis import given, settings
 
 from monogenic.charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
 from monogenic.cochain import Certificate, CochainSection, triviality_certificate
-from monogenic.laurent import LaurentPoly
+from monogenic.laurent import LaurentPoly, exact_nullspace
 from monogenic.transform import (
     SpinorField,
     class_is_zero,
     penrose_transform,
     penrose_transforms,
-    transform_is_injective_on,
+    spinor_coefficient_rows,
     weighted_degree,
 )
+
+
+def transform_is_injective_on(sections):
+    # True iff no nonzero rational combination of the sections has zero image.
+    rows = spinor_coefficient_rows([[image] for image in penrose_transforms(sections)])
+    return not exact_nullspace(rows, n_cols=len(sections))
+
 
 # ------------------------------------------------------------ independent oracle
 # A from-scratch residue evaluator sharing no code with the package: dict-based
