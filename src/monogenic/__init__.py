@@ -5,7 +5,6 @@ from .laurent import (
     AlphabetMismatch,
     InternalCheckError,
     LaurentPoly,
-    PolyMatrix,
     PreconditionError,
     exact_nullspace,
     matrix_rank,
@@ -14,17 +13,7 @@ from .charts import (
     BASE,
     CORRESPONDENCE,
     TWISTOR,
-    BaseCoords,
-    ChartId,
-    TwistorCoords,
-    alpha_plane_basis,
-    base_frame,
-    bilinear_gram,
     correspondence_substitution,
-    cp3_transition,
-    frame_gram,
-    twistor_frame,
-    w01_transition,
 )
 from .cochain import (
     Certificate,
@@ -73,6 +62,6 @@ from .calibration import (
     reference_monogenic_spinors,
     write_config,
 )
-from .expr import Context, ParseError, format_poly, parse_expr, parse_section, parse_spinor
+from .expr import Context, ParseError, parse_expr, parse_section, parse_spinor
 
 __version__ = "0.1.0"

@@ -188,13 +188,12 @@ def third_item_discrepancy(op: DiracOperator) -> dict:
     times the coefficients the raising conditions allow).  All three spinors
     are exact kernel elements, so calibration itself is unaffected.
     """
-    from .hwv import hwv_complete  # local import: hwv pulls in the transform stack
+    from .hwv import _complete_with_image  # local import: hwv pulls in the transform stack
 
     companion = companion_third_section()
     companion_image = penrose_transform(companion)
     reference = reference_monogenic_spinors()[2]
-    completed = hwv_complete((0, 0, 1))
-    completed_image = penrose_transform(completed)
+    completed, completed_image = _complete_with_image((0, 0, 1))
     companion_rows = _compare(companion_image, reference)
     completed_rows = _compare(completed_image, reference)
     return {

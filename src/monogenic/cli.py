@@ -31,6 +31,9 @@ from .transform import penrose_transform
 KERNEL_DEGREE_LIMIT = 8  # the largest degree measured, about 6 s on one core
 HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
 TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s on one core
+# On the sum over terms of 1 + 2*s0 + sum s_ij: the largest hwv section up to
+# degree 6, (0,0,3), weighs 539; at most 43 degree-12 terms, about 70 s on one core.
+TRANSFORM_SECTION_LIMIT = 560
 DECOMPOSE_DEGREE_LIMIT = 200  # 5,151 summands, 0.34 MB of table; the table grows as degree^2 / 8
 
 
@@ -117,9 +120,15 @@ def _spinor_strings(field) -> list[str]:
 def _cmd_transform(args, config) -> dict:
     section = parse_section(args.section)
     # TWISTOR slots: z0, then the six z_ij, then the zetas.
-    if any(2 * e[0] + sum(e[1:7]) > TRANSFORM_DEGREE_LIMIT for e in section.body.terms):
+    degrees = [2 * e[0] + sum(e[1:7]) for e in section.body.terms]
+    if any(d > TRANSFORM_DEGREE_LIMIT for d in degrees):
         raise PreconditionError(
             f"a term's degree 2*s0 + sum s_ij is over the transform limit {TRANSFORM_DEGREE_LIMIT}"
+        )
+    if sum(1 + d for d in degrees) > TRANSFORM_SECTION_LIMIT:
+        raise PreconditionError(
+            f"the sum over terms of 1 + 2*s0 + sum s_ij is over the transform section limit "
+            f"{TRANSFORM_SECTION_LIMIT}"
         )
     image = penrose_transform(section)
     return _document(

@@ -59,16 +59,6 @@ def wedge_pair_sign(a: tuple[tuple[int, int], int], b: tuple[tuple[int, int], in
     return sa * sb * _volume_coefficient((i, j, k, l))
 
 
-def quadratic_form(coefficients: dict[str, Scalar]) -> Fraction:
-    """Q(alpha) with alpha = sum over directions, via alpha ^ alpha = Q * vol."""
-    q = Fraction(0)
-    items = list(coefficients.items())
-    for da, ca in items:
-        for db, cb in items:
-            q += Fraction(ca) * Fraction(cb) * wedge_pair_sign(LAMBDA2_IMAGE[da], LAMBDA2_IMAGE[db])
-    return q
-
-
 @lru_cache(maxsize=None)
 def clifford_matrix(direction: str) -> tuple[tuple[int, ...], ...]:
     """4x4 matrix of wedging by the direction: S+ -> S- ~ (C^4)*.

@@ -218,11 +218,6 @@ def parse_spinor(text: str) -> SpinorField:
     return SpinorField(tuple(parse_spinor_component(part) for part in parts))
 
 
-def format_poly(poly: LaurentPoly) -> str:
-    """Canonical grammar-compatible text (see LaurentPoly.to_string)."""
-    return poly.to_string()
-
-
 def format_ast(ast: ExprAST) -> str:
     """Canonical text of a normalized AST; reparses to an equal AST."""
     return format_terms((term.powers, term.coefficient) for term in ast.terms)

@@ -388,86 +388,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_string()})"
 
 
-class PolyMatrix:
-    """A rectangular matrix of LaurentPoly entries over one alphabet."""
-
-    __slots__ = ("alphabet", "entries")
-
-    def __init__(self, alphabet: Alphabet, entries: list[list[LaurentPoly]]):
-        self.alphabet = alphabet
-        widths = {len(row) for row in entries}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        for row in entries:
-            for p in row:
-                if p.alphabet != alphabet:
-                    raise AlphabetMismatch("matrix entries over mixed alphabets")
-        self.entries = [list(row) for row in entries]
-
-    @classmethod
-    def from_scalars(cls, alphabet: Alphabet, rows: list[list[Scalar]]) -> "PolyMatrix":
-        return cls(
-            alphabet,
-            [[LaurentPoly.constant(alphabet, v) for v in row] for row in rows],
-        )
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, pos: tuple[int, int]) -> LaurentPoly:
-        return self.entries[pos[0]][pos[1]]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.alphabet == other.alphabet
-            and self.entries == other.entries
-        )
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.alphabet,
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-        )
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return PolyMatrix(
-            self.alphabet,
-            [
-                [self.entries[r][c] + other.entries[r][c] for c in range(self.cols)]
-                for r in range(self.rows)
-            ],
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, scalar: Scalar) -> "PolyMatrix":
-        return PolyMatrix(
-            self.alphabet, [[p.scale(scalar) for p in row] for row in self.entries]
-        )
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        columns = list(zip(*other.entries))
-        out = [
-            [LaurentPoly.sum(self.alphabet, (a * b for a, b in zip(row, col))) for col in columns]
-            for row in self.entries
-        ]
-        return PolyMatrix(self.alphabet, out)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-
 # ------------------------------------------------------------- exact nullspace
 Row = Sequence[Scalar] | dict[int, Scalar]  # dense, or sparse {column in range(n_cols): value}
 
@@ -557,18 +477,14 @@ def rref(rows: list[Row], n_cols: int) -> tuple[list[list[Fraction]], list[int]]
     return [[reduced[c].get(k, zero) for k in range(n_cols)] for c in pivots], pivots
 
 
-def exact_nullspace(rows: list[Row], n_cols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the exact right nullspace of a rational matrix.
+def exact_nullspace(rows: list[Row], n_cols: int) -> list[list[Fraction]]:
+    """Basis of the exact right nullspace of a rational matrix with `n_cols` columns.
 
     Returns one vector per free column f of the reduced row echelon form R:
     v[f] = 1, v[pivot_r] = -R[r][f] and zero at the other free columns.  The
     basis is therefore canonical and its length is the exact nullity.  An
     empty `rows` list means the map is zero and the whole space comes back.
     """
-    if n_cols is None:
-        if not rows or isinstance(rows[0], dict):
-            raise ValueError("cannot infer the column count of an empty or sparse matrix")
-        n_cols = len(rows[0])
     reduced, pivots = rref(rows, n_cols)
     pivot_set = set(pivots)
     basis: list[list[Fraction]] = []

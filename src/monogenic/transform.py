@@ -58,9 +58,6 @@ class SpinorField:
     def scale(self, scalar: Scalar) -> "SpinorField":
         return SpinorField(tuple(p.scale(scalar) for p in self.components))
 
-    def weighted_degrees(self) -> set[int]:
-        return {weighted_degree(e) for p in self.components for e in p.terms}
-
 
 @lru_cache(maxsize=None)
 def _weight_vector() -> tuple[LaurentPoly, ...]:

@@ -29,8 +29,6 @@ from monogenic.charts import (
     Z_VARS,
     ZETA_VARS,
     correspondence_substitution,
-    frame_gram,
-    twistor_frame,
 )
 from monogenic.cli import main
 from monogenic.cochain import (
@@ -47,6 +45,8 @@ from monogenic.hwv import hwv_complete, hwv_test
 from monogenic.laurent import LaurentPoly
 from monogenic.repn import decompose_Mk, label_of_hwv, multiplicity_free_check
 from monogenic.transform import class_is_zero, penrose_transform
+
+from chart_geometry import frame_gram, twistor_frame
 
 
 def report(number, text):

@@ -1,4 +1,4 @@
-"""Chart frames, transitions and the incidence substitution."""
+"""The incidence substitution in closed form, against the chart frames and transitions."""
 
 from fractions import Fraction
 
@@ -6,27 +6,30 @@ import pytest
 
 from monogenic.charts import (
     BASE,
-    CHART1,
     CORRESPONDENCE,
-    CP3_ZETA,
-    RHO_VARS,
     TWISTOR,
-    W_VARS,
     Z_VARS,
     ZETA_VARS,
+    correspondence_substitution,
+)
+from monogenic.laurent import LaurentPoly, PreconditionError
+
+from chart_geometry import (
+    CHART1,
+    CP3_ZETA,
+    RHO_VARS,
+    W_VARS,
     alpha_plane_basis,
     base_frame,
     bilinear_gram,
     correspondence_b0,
-    correspondence_substitution,
+    correspondence_b1,
     cp3_transition,
     frame_gram,
     generic_twistor_values,
     twistor_frame,
     w01_transition,
 )
-from monogenic.laurent import LaurentPoly, PreconditionError
-
 from graded_algebra import center_coefficient, gminus_matrix, matrix_commutator
 
 
@@ -183,6 +186,29 @@ def test_b0_binding_is_antisymmetric_identically():
     b0 = correspondence_b0()
     assert (b0 + b0.transpose()).is_zero()
     assert b0[0, 0].is_zero() and b0[1, 1].is_zero()
+
+
+def test_closed_form_bindings_equal_the_frame_route():
+    binds = correspondence_substitution()
+    b1 = correspondence_b1()
+    assert binds["z0"] == correspondence_b0()[0, 1]
+    for i in (1, 2, 3):
+        for j in (1, 2):
+            assert binds[f"z{i}{j}"] == b1[i - 1, j - 1]
+    assert set(binds) == {"z0", *Z_VARS}
+
+
+def test_every_binding_term_is_affine_in_zeta():
+    # Each binding is A + sum_m zeta_m B_m: every term has total zeta-degree 0 or 1
+    # and no zeta pole, which is what a residue truncated in zeta relies on.
+    slots = [CORRESPONDENCE.index[name] for name in ZETA_VARS]
+    zeta_parts = {
+        tuple(exps[s] for s in slots)
+        for value in correspondence_substitution().values()
+        for exps in value.terms
+    }
+    assert zeta_parts == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert sum(len(value.terms) for value in correspondence_substitution().values()) == 31
 
 
 def test_correspondence_origin_maps_to_origin():

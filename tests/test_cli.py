@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -150,6 +152,15 @@ def test_hwv_command(capsys):
     assert doc["result"]["transform"] == ["x2_11^2", "0", "0", "0"]
 
 
+def distinct_terms(monomial, count):
+    """A section of `count` distinct terms: `monomial` times different zeta poles."""
+    poles = itertools.islice(itertools.product(range(1, 9), repeat=3), count)
+    return " + ".join(f"{monomial}*zeta1^-{i}*zeta2^-{j}*zeta3^-{k}" for i, j, k in poles)
+
+
+# 280 terms of degree 1 weigh 280 * (1 + 1) = 560, the transform section limit.
+AT_SECTION_LIMIT = distinct_terms("z11", 280)
+
 BUDGET_CASES = [
     (["kernel-dim", "--degree", "9"], "0..8"),
     (["kernel-dim", "--degree", "-1"], "0..8"),
@@ -157,13 +168,18 @@ BUDGET_CASES = [
     (["hwv", "--a", "2", "--b", "3", "--l", "0"], "hwv limit 6"),
     (["transform", "--section", "z0^999999*zeta1^-1*zeta2^-1*zeta3^-1"], "transform limit 12"),
     (["transform", "--section", "z0 + z0^6*z11*zeta1^-1*zeta2^-1*zeta3^-1"], "transform limit 12"),
+    (["transform", "--section", distinct_terms("z0^6", 147)], "transform section limit 560"),
+    (["transform", "--section", AT_SECTION_LIMIT + " + zeta1^-9"], "transform section limit 560"),
     (["decompose", "--degree", "100000"], "decompose limit 200"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, limit", BUDGET_CASES,
-    ids=["kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed", "decompose-big"],
+    ids=[
+        "kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed",
+        "transform-147-terms", "transform-one-over", "decompose-big",
+    ],
 )
 def test_oversized_inputs_are_refused_before_any_work(workdir, capsys, monkeypatch, argv, limit):
     import monogenic.cli as cli
@@ -198,6 +214,11 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
         lambda label: calls.append(label) or (CochainSection(LaurentPoly.zero(TWISTOR)), SpinorField.zero()),
     )
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    # A cheap section at the section limit is transformed for real: z11 binds to
+    # x2_11 + zeta3*x1_21 - zeta2*x1_31, and every pole order up to 8 is present.
+    code, out, _ = run(capsys, "transform", "--section", AT_SECTION_LIMIT, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["spinor"] == ["x1_21 - x1_31 + x2_11"] * 4
     assert run(capsys, "kernel-dim", "--degree", "8")[0] == 0
     assert run(capsys, "hwv", "--a", "1", "--b", "2", "--l", "1")[0] == 0
     monkeypatch.setattr(cli, "decompose_Mk", lambda k: calls.append(k) or [])
@@ -404,3 +425,14 @@ def test_audit_script_passes(workdir, script, args, verdict):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert verdict in result.stdout
+
+
+def test_package_exports_the_names_the_harness_and_scripts_use():
+    # The benchmark and the scripts call these on the package itself.
+    root = Path(__file__).resolve().parents[1]
+    called = set()
+    for path in [*(root / "perfbench").glob("*.py"), *(root / "scripts").glob("*.py")]:
+        called.update(re.findall(r"\bmonogenic\.(\w+)\(", path.read_text()))
+    called |= {"hwv_complete", "penrose_transform", "hwv_test", "label_of_hwv", "IrrepLabel", "is_monogenic"}
+    for name in sorted(called):
+        assert callable(getattr(monogenic, name, None)), name

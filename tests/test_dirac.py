@@ -17,6 +17,7 @@ from monogenic.charts import BASE, Z_VARS
 from monogenic.cochain import CochainSection
 from monogenic.dirac import (
     DUAL_DIRECTION,
+    LAMBDA2_IMAGE,
     DiracOperator,
     _basis_var,
     _column_image,
@@ -27,7 +28,7 @@ from monogenic.dirac import (
     degree_exponents,
     graded_kernel_dim,
     is_monogenic,
-    quadratic_form,
+    wedge_pair_sign,
 )
 from monogenic.laurent import (
     InternalCheckError,
@@ -180,6 +181,15 @@ def test_clifford_matrices_have_two_entries_each():
     for d in ("e3", "e4", "e5", "eb3", "eb4", "eb5"):
         c = clifford_matrix(d)
         assert sum(1 for row in c for v in row if v) == 2
+
+
+def quadratic_form(coefficients):
+    """Q(alpha) with alpha = sum over directions, via alpha ^ alpha = Q * vol."""
+    return sum(
+        Fraction(ca) * Fraction(cb) * wedge_pair_sign(LAMBDA2_IMAGE[da], LAMBDA2_IMAGE[db])
+        for da, ca in coefficients.items()
+        for db, cb in coefficients.items()
+    )
 
 
 def test_quadratic_form_normalization():

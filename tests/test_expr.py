@@ -9,7 +9,6 @@ from monogenic.expr import (
     Context,
     ParseError,
     format_ast,
-    format_poly,
     parse_expr,
     parse_section,
     parse_spinor,
@@ -85,7 +84,7 @@ def test_print_parse_round_trip_ast(text):
 @pytest.mark.parametrize("text", SUITE_EXPRESSIONS)
 def test_print_parse_round_trip_poly(text):
     poly = to_poly(parse_expr(text, Context.SECTION), Context.SECTION)
-    again = to_poly(parse_expr(format_poly(poly), Context.SECTION), Context.SECTION)
+    again = to_poly(parse_expr(poly.to_string(), Context.SECTION), Context.SECTION)
     assert again == poly
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monogenic.calibration import CalibrationConfig, build_calibrated
+from monogenic.cli import TRANSFORM_SECTION_LIMIT
 from monogenic.cochain import CochainSection, weight_of_monomial
 from monogenic.dirac import is_monogenic
 from monogenic.hwv import _complete_with_image, candidate_exponents, hwv_complete, hwv_test
@@ -170,7 +171,11 @@ def test_round_trip_all_labels_up_to_degree_four():
 def assert_round_trip_monogenic(k):
     op = build_calibrated(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)))
     for label in labels_of_degree(k):
-        image = penrose_transform(assert_round_trip(*label))
+        section = assert_round_trip(*label)
+        # `penrose transform` accepts every section `penrose hwv` prints.
+        weight = sum(1 + 2 * e[0] + sum(e[1:7]) for e in section.body.terms)
+        assert weight <= TRANSFORM_SECTION_LIMIT, label
+        image = penrose_transform(section)
         assert not image.is_zero() and is_monogenic(op, image), label
 
 
