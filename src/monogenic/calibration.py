@@ -19,17 +19,23 @@ monogenic, so the report is informational and nothing is rescaled.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .charts import BASE, TWISTOR
+from .cochain import CochainSection
 from .dirac import DiracOperator, build_dirac, is_monogenic
+from .hwv import _complete_with_image, hwv_test
 from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
-from .transform import SpinorField, penrose_transform, penrose_transforms
+from .transform import SpinorField, penrose_transform
 
 CONFIG_FILENAME = "penrose-calibration.txt"
 REPORT_FILENAME = "penrose-calibration-report.json"
+# The value texts `write_config` writes; a decimal such as 1e99999999 would
+# make `Fraction` build an integer of that many digits.
+_VALUES = {"epsilon": re.compile(r"[+-]?1"), "clifford_norm": re.compile(r"[+-]?[0-9]+(/[0-9]+)?")}
 
 
 @dataclass(frozen=True)
@@ -121,24 +127,24 @@ def read_config(directory: Path | str = ".") -> CalibrationConfig:
         if not text.strip():
             continue
         key, eq, raw = text.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if not eq:
             problem = "no '='"
-        elif key not in ("epsilon", "clifford_norm"):
+        elif key not in _VALUES:
             problem = f"unknown key {key!r}"
         elif key in values:
             problem = f"repeated key {key!r}"
+        elif not _VALUES[key].fullmatch(raw):
+            problem = f"bad {key} value {raw!r}"
         else:
-            values[key] = raw.strip()
+            values[key] = raw
             continue
         raise PreconditionError(f"{problem} on line {number} of {path}: {text!r}")
     if len(values) != 2:
         raise PreconditionError(f"calibration file {path} is incomplete or malformed")
-    if values["epsilon"] not in ("+1", "-1", "1"):
-        raise PreconditionError(f"bad epsilon value {values['epsilon']!r} in {path}")
     try:
         norm = Fraction(values["clifford_norm"])
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # too many digits for int(), or a zero denominator
         norm = Fraction(0)
     if not norm:
         raise PreconditionError(f"bad clifford_norm value {values['clifford_norm']!r} in {path}")
@@ -147,8 +153,6 @@ def read_config(directory: Path | str = ".") -> CalibrationConfig:
 
 def companion_third_section():
     """The four-term section bundled with the third reference spinor."""
-    from .cochain import CochainSection
-
     terms = [CochainSection.monomial(s0=1, poles=(1, 1, 1))]
     for z, poles, sign in (
         ({"z22": 1, "z31": 1}, (2, 1, 1), -1),
@@ -188,8 +192,6 @@ def third_item_discrepancy(op: DiracOperator) -> dict:
     times the coefficients the raising conditions allow).  All three spinors
     are exact kernel elements, so calibration itself is unaffected.
     """
-    from .hwv import _complete_with_image  # local import: hwv pulls in the transform stack
-
     companion = companion_third_section()
     companion_image = penrose_transform(companion)
     reference = reference_monogenic_spinors()[2]
@@ -203,19 +205,11 @@ def third_item_discrepancy(op: DiracOperator) -> dict:
         "sections_match": companion == completed,
         "companion_transform_vs_reference": companion_rows,
         "completed_transform_vs_reference": completed_rows,
-        "companion_section_is_highest_weight": all(
-            image.is_zero() for image in penrose_transforms(_raisings(companion))
-        ),
+        "companion_section_is_highest_weight": hwv_test(companion),
         "reference_is_monogenic": is_monogenic(op, reference),
         "companion_transform_is_monogenic": is_monogenic(op, companion_image),
         "completed_transform_is_monogenic": is_monogenic(op, completed_image),
     }
-
-
-def _raisings(section):
-    from .cochain import POSITIVE_SIMPLE_ROOTS, g0_action
-
-    return [g0_action(root, section) for root in POSITIVE_SIMPLE_ROOTS]
 
 
 def write_report(report: dict, directory: Path | str = ".") -> Path:

@@ -23,7 +23,7 @@ from .cochain import ROOT_NAMES, CochainSection, g0_action, weight_of_monomial
 from .dirac import apply_2dirac, graded_kernel_dim
 from .expr import ParseError, parse_section, parse_spinor
 from .hwv import _complete_with_image
-from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
+from .laurent import InternalCheckError, PreconditionError, number_text
 from .repn import decompose_Mk
 from .transform import penrose_transform
 
@@ -143,7 +143,7 @@ def _cmd_weight(args, config) -> dict:
     section = parse_section(args.section)
     rows = []
     for exps, coeff in section.body.sorted_terms():
-        monomial = CochainSection(LaurentPoly.from_dict(section.body.alphabet, {exps: 1}))
+        monomial = CochainSection.from_terms({exps: 1})
         weight = weight_of_monomial(monomial)
         for entry in weight.gl4:  # fail before anything is printed
             number_text(entry)

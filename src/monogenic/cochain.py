@@ -55,7 +55,7 @@ class CochainSection:
 
     @classmethod
     def from_terms(cls, terms: Mapping[tuple, Scalar]) -> "CochainSection":
-        return cls(LaurentPoly.from_dict(TWISTOR, terms))
+        return cls(LaurentPoly(TWISTOR, terms))
 
     @classmethod
     def monomial(
@@ -248,8 +248,8 @@ def triviality_certificate(section: CochainSection) -> Certificate:
     """Syntactic sufficient conditions for a monomial class to vanish.
 
     The TrivialExtends branch is advisory only: the inequality is kept exactly
-    as stated even though it is not a reliable vanishing test (class_is_zero
-    via the transform is authoritative).
+    as stated even though it is not a reliable vanishing test (a zero
+    `penrose_transform` is authoritative).
     """
     if not section.is_monomial():
         raise PreconditionError("triviality_certificate expects a single monomial")

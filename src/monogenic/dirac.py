@@ -159,7 +159,6 @@ def apply_2dirac(op: DiracOperator, spinor: SpinorField) -> tuple[tuple, tuple]:
     halves = ([{}, {}, {}, {}], [{}, {}, {}, {}])
     for (j, mu, e), c in image.items():
         halves[j][mu][e] = c
-    # accumulate drops zero sums, so each dict is already canonical.
     return tuple(tuple(LaurentPoly(BASE, terms) for terms in half) for half in halves)
 
 

@@ -10,21 +10,21 @@ Grammar (whitespace insensitive):
 Identifiers come from the documented alphabets: sections use z0, z11..z32 and
 zeta1..zeta3 (only the zetas may carry negative exponents); spinor components
 use x12, x1_11..x1_32, x2_11..x2_32 with no negative exponents.  Parse errors
-carry the offending position.  Printing is deterministic: terms in descending
-graded-lexicographic order of their exponent vectors, signs absorbed into the
-separators, so print/parse round-trips are exact.
+carry the offending position.  An expression parses straight to its canonical
+`LaurentPoly` (like terms merged, zero terms dropped), whose `to_string` prints
+the terms in descending graded-lexicographic order with the signs absorbed into
+the separators, so print/parse round-trips are exact.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import BASE, TWISTOR, ZETA_VARS
 from .cochain import CochainSection
-from .laurent import Alphabet, LaurentPoly, accumulate, format_terms
+from .laurent import Alphabet, LaurentPoly
 from .transform import SpinorField
 
 
@@ -41,19 +41,6 @@ class Context(enum.Enum):
     @property
     def alphabet(self) -> Alphabet:
         return TWISTOR if self is Context.SECTION else BASE
-
-
-@dataclass(frozen=True)
-class Term:
-    coefficient: Fraction
-    powers: tuple[tuple[str, int], ...]  # name-sorted, merged, no zero exponents
-
-
-@dataclass(frozen=True)
-class ExprAST:
-    """Normalized sum of terms: like monomials merged, zero terms dropped."""
-
-    terms: tuple[Term, ...]
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
@@ -109,8 +96,8 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {token[1] or 'end of input'!r}", token[2])
         return self.advance()
 
-    def parse(self) -> ExprAST:
-        terms: list[tuple[Fraction, dict[str, int]]] = []
+    def parse(self) -> LaurentPoly:
+        terms: list[LaurentPoly] = []
         sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
@@ -126,9 +113,9 @@ class _Parser:
                 terms.append(self.parse_term(-1 if value == "-" else 1))
             else:
                 raise ParseError(f"expected '+' or '-', found {value!r}", pos)
-        return _normalize(terms)
+        return LaurentPoly.sum(self.context.alphabet, terms)
 
-    def parse_term(self, sign: int) -> tuple[Fraction, dict[str, int]]:
+    def parse_term(self, sign: int) -> LaurentPoly:
         kind, value, pos = self.peek()
         coefficient = Fraction(sign)
         powers: dict[str, int] = {}
@@ -152,7 +139,7 @@ class _Parser:
             self.advance()
             name, exponent = self.parse_factor()
             powers[name] = powers.get(name, 0) + exponent
-        return coefficient, powers
+        return LaurentPoly.monomial(self.context.alphabet, powers, coefficient)
 
     def parse_factor(self) -> tuple[str, int]:
         token = self.expect("ident")
@@ -178,46 +165,16 @@ class _Parser:
         return name, exponent
 
 
-def _normalize(raw_terms: list[tuple[Fraction, dict[str, int]]]) -> ExprAST:
-    merged: dict[tuple[tuple[str, int], ...], Fraction] = accumulate({}, (
-        (tuple(sorted((n, e) for n, e in powers.items() if e)), coefficient)
-        for coefficient, powers in raw_terms
-    ))
-
-    def grade(key: tuple[tuple[str, int], ...]) -> tuple:
-        return (sum(e for _, e in key), key)
-
-    ordered = sorted(merged.items(), key=lambda kv: grade(kv[0]), reverse=True)
-    return ExprAST(terms=tuple(Term(coefficient=c, powers=k) for k, c in ordered))
-
-
-def parse_expr(text: str, context: Context) -> ExprAST:
+def parse_expr(text: str, context: Context) -> LaurentPoly:
     return _Parser(text, context).parse()
 
 
-def to_poly(ast: ExprAST, context: Context) -> LaurentPoly:
-    alphabet = context.alphabet
-    return LaurentPoly.sum(alphabet, (
-        LaurentPoly.monomial(alphabet, dict(term.powers), term.coefficient)
-        for term in ast.terms
-    ))
-
-
 def parse_section(text: str) -> CochainSection:
-    return CochainSection(to_poly(parse_expr(text, Context.SECTION), Context.SECTION))
-
-
-def parse_spinor_component(text: str) -> LaurentPoly:
-    return to_poly(parse_expr(text, Context.SPINOR), Context.SPINOR)
+    return CochainSection(parse_expr(text, Context.SECTION))
 
 
 def parse_spinor(text: str) -> SpinorField:
     parts = text.split(";")
     if len(parts) != 4:
         raise ParseError("a spinor needs exactly 4 ';'-separated components", 0)
-    return SpinorField(tuple(parse_spinor_component(part) for part in parts))
-
-
-def format_ast(ast: ExprAST) -> str:
-    """Canonical text of a normalized AST; reparses to an equal AST."""
-    return format_terms((term.powers, term.coefficient) for term in ast.terms)
+    return SpinorField(tuple(parse_expr(part, Context.SPINOR) for part in parts))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import BASE, TWISTOR, ZETA_VARS
+from .charts import TWISTOR, ZETA_VARS
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection, g0_action
 from .dirac import _compositions
 from .laurent import (
@@ -94,9 +94,7 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
         raise PreconditionError("label entries must be non-negative")
 
     exponents = candidate_exponents(a, b, l)
-    candidates = [
-        CochainSection(LaurentPoly.from_dict(TWISTOR, {e: 1})) for e in exponents
-    ]
+    candidates = [CochainSection.from_terms({e: 1}) for e in exponents]
 
     n, r = len(candidates), len(POSITIVE_SIMPLE_ROOTS)
     # One batch by linearity: the raisings share most of their monomials.
@@ -138,10 +136,7 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
         raise InternalCheckError(f"label {label}: leading coefficient vanished")
     representative = [v / lead_coeff for v in representative]
 
-    body = LaurentPoly.from_dict(
-        TWISTOR,
-        {e: c for e, c in zip(exponents, representative) if c},
-    )
+    body = LaurentPoly(TWISTOR, dict(zip(exponents, representative)))
     section = CochainSection(body)
 
     # The z0-top part must be exactly Delta^a z11^b/(zeta1 zeta2 zeta3).
@@ -149,10 +144,7 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
         raise InternalCheckError(f"label {label}: z0 degree is not {l}")
     if body.coefficient_of(("z0",), (l,)) != expected_top:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
-    image = SpinorField(tuple(
-        LaurentPoly.sum(BASE, (
-            field.components[m].scale(c) for field, c in zip(images[n * r:], representative) if c
-        ))
-        for m in range(4)
-    ))
+    image = SpinorField.combination(
+        (c, field) for c, field in zip(representative, images[n * r:]) if c
+    )
     return section, image

@@ -137,19 +137,23 @@ class LaurentPoly:
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Exponents, Fraction]):
-        # Trusted path: callers inside this module pass canonical dicts.
-        self.alphabet = alphabet
-        self.terms = dict(terms)
-
-    # ------------------------------------------------------------------ build
-    @classmethod
-    def from_dict(cls, alphabet: Alphabet, terms: Mapping[Exponents, Scalar]) -> "LaurentPoly":
+    def __init__(self, alphabet: Alphabet, terms: Mapping[Exponents, Scalar]):
+        """The canonical polynomial of `terms`: exponents checked, zero coefficients dropped."""
         pairs = [(tuple(exps), Fraction(coeff)) for exps, coeff in terms.items()]
         for exps, _ in pairs:
             alphabet.check_exponents(exps)
-        return cls(alphabet, accumulate({}, pairs))
+        self.alphabet = alphabet
+        self.terms = accumulate({}, pairs)
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, terms: dict[Exponents, Fraction]) -> "LaurentPoly":
+        # For this module only: `terms` is a fresh dict that is already canonical.
+        poly = object.__new__(cls)
+        poly.alphabet = alphabet
+        poly.terms = terms
+        return poly
+
+    # ------------------------------------------------------------------ build
     @classmethod
     def sum(cls, alphabet: Alphabet, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
         """The sum of many polynomials over `alphabet`, merged into one dict."""
@@ -158,16 +162,16 @@ class LaurentPoly:
             if p.alphabet != alphabet:
                 raise AlphabetMismatch(f"operands over {alphabet.names} vs {p.alphabet.names}")
             accumulate(out, p.terms.items())
-        return cls(alphabet, out)
+        return cls._trusted(alphabet, out)
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "LaurentPoly":
-        return cls(alphabet, {})
+        return cls._trusted(alphabet, {})
 
     @classmethod
     def constant(cls, alphabet: Alphabet, value: Scalar) -> "LaurentPoly":
         c = Fraction(value)
-        return cls(alphabet, {alphabet.zero_exponents(): c} if c else {})
+        return cls._trusted(alphabet, {alphabet.zero_exponents(): c} if c else {})
 
     @classmethod
     def variable(cls, alphabet: Alphabet, name: str, power: int = 1) -> "LaurentPoly":
@@ -175,7 +179,7 @@ class LaurentPoly:
             raise ValueError(f"unknown variable {name!r}")
         exps = [0] * len(alphabet)
         exps[alphabet.index[name]] = power
-        return cls.from_dict(alphabet, {tuple(exps): 1})
+        return cls(alphabet, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, alphabet: Alphabet, powers: Mapping[str, int], coeff: Scalar = 1) -> "LaurentPoly":
@@ -184,7 +188,7 @@ class LaurentPoly:
             if name not in alphabet.index:
                 raise ValueError(f"unknown variable {name!r}")
             exps[alphabet.index[name]] += e
-        return cls.from_dict(alphabet, {tuple(exps): coeff})
+        return cls(alphabet, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------ query
     def is_zero(self) -> bool:
@@ -226,10 +230,11 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
-        return LaurentPoly(self.alphabet, accumulate(dict(self.terms), other.terms.items()))
+        terms = accumulate(dict(self.terms), other.terms.items())
+        return LaurentPoly._trusted(self.alphabet, terms)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.alphabet, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.alphabet, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -243,7 +248,7 @@ class LaurentPoly:
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items()
         )
-        return LaurentPoly(self.alphabet, accumulate({}, products))
+        return LaurentPoly._trusted(self.alphabet, accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -251,7 +256,7 @@ class LaurentPoly:
         c = Fraction(scalar)
         if not c:
             return LaurentPoly.zero(self.alphabet)
-        return LaurentPoly(self.alphabet, {e: c * v for e, v in self.terms.items()})
+        return LaurentPoly._trusted(self.alphabet, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -270,7 +275,7 @@ class LaurentPoly:
         exps, coeff = self.sole_term()
         inv = tuple(-e for e in exps)
         self.alphabet.check_exponents(inv)
-        return LaurentPoly(self.alphabet, {inv: Fraction(1) / coeff})
+        return LaurentPoly._trusted(self.alphabet, {inv: Fraction(1) / coeff})
 
     # ------------------------------------------------------------- operations
     def substitute(
@@ -326,7 +331,7 @@ class LaurentPoly:
             accumulate(out, (
                 (tuple(a + b for a, b in zip(passthrough, e)), coeff * c) for e, c in products
             ))
-        return LaurentPoly(target, out)
+        return LaurentPoly._trusted(target, out)
 
     def coefficient_of(self, names: Iterable[str], exponents: Iterable[int]) -> "LaurentPoly":
         """Coefficient polynomial of the given monomial in the given variables.
@@ -340,7 +345,7 @@ class LaurentPoly:
         if len(set(names)) != len(names) or len(exponents) != len(names):
             raise PreconditionError("extraction needs distinct variables, one exponent each")
         fixed = {self.alphabet.index[n]: e for n, e in zip(names, exponents)}
-        return LaurentPoly(self.alphabet, {
+        return LaurentPoly._trusted(self.alphabet, {
             tuple(0 if i in fixed else e for i, e in enumerate(exps)): coeff
             for exps, coeff in self.terms.items()
             if all(exps[p] == e for p, e in fixed.items())
@@ -350,7 +355,7 @@ class LaurentPoly:
         """Formal partial derivative; negative exponents follow the power rule."""
         i = self.alphabet.index[name]
         # Lowering one slot is injective and e != 0, so nothing merges or cancels.
-        return LaurentPoly(self.alphabet, {
+        return LaurentPoly._trusted(self.alphabet, {
             exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
             for exps, coeff in self.terms.items()
             if exps[i]
@@ -374,7 +379,7 @@ class LaurentPoly:
                     )
                 new[j] = e
             out[tuple(new)] = coeff
-        return LaurentPoly(target, out)
+        return LaurentPoly._trusted(target, out)
 
     # ------------------------------------------------------------------ print
     def to_string(self) -> str:

@@ -149,9 +149,7 @@ def label_of_hwv(section: CochainSection) -> IrrepLabel:
 
     label = IrrepLabel(a, b, l)
     descriptor = module_descriptor(label)
-    lead_weight = weight_of_monomial(
-        CochainSection(LaurentPoly.from_dict(TWISTOR, {lead_key: 1}))
-    )
+    lead_weight = weight_of_monomial(CochainSection.from_terms({lead_key: 1}))
     expected = Weight(gl2=descriptor.gl2_weight, gl4=descriptor.sl4_weight)
     if lead_weight.gl2 != expected.gl2 or not lead_weight.same_sl4(expected):
         raise InternalCheckError(

@@ -12,7 +12,7 @@ deg(x12) = 2 and deg(x1_ij) = deg(x2_ij) = 1.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,13 +21,7 @@ from .charts import BASE, CORRESPONDENCE, TWISTOR, ZETA_VARS, correspondence_sub
 from .cochain import CochainSection
 from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar
 
-_X12_SLOT = BASE.index["x12"]
 _ZETA_SLOTS = tuple(TWISTOR.index[name] for name in ZETA_VARS)
-
-
-def weighted_degree(exps: Exponents) -> int:
-    """Grading on base monomials: x12 counts twice, the linear slots once."""
-    return sum(exps) + exps[_X12_SLOT]
 
 
 @dataclass(frozen=True)
@@ -45,6 +39,15 @@ class SpinorField:
     def zero(cls) -> "SpinorField":
         z = LaurentPoly.zero(BASE)
         return cls((z, z, z, z))
+
+    @classmethod
+    def combination(cls, pairs: Iterable[tuple[Scalar, "SpinorField"]]) -> "SpinorField":
+        """The linear combination sum c * field over (c, field) pairs, merged once per component."""
+        pairs = list(pairs)
+        return cls(tuple(
+            LaurentPoly.sum(BASE, (field.components[m].scale(c) for c, field in pairs))
+            for m in range(4)
+        ))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)
@@ -96,21 +99,11 @@ def penrose_transforms(sections: Sequence[CochainSection]) -> list[SpinorField]:
             reaches_residue = all(exps[i] < 0 for i in _ZETA_SLOTS)
             images[exps] = penrose_transform(CochainSection.from_terms({exps: 1})) if reaches_residue else None
     return [
-        SpinorField(tuple(
-            LaurentPoly.sum(BASE, (
-                images[exps].components[m].scale(c)
-                for exps, c in section.body.terms.items()
-                if images[exps] is not None
-            ))
-            for m in range(4)
-        ))
+        SpinorField.combination(
+            (c, images[exps]) for exps, c in section.body.terms.items() if images[exps] is not None
+        )
         for section in sections
     ]
-
-
-def class_is_zero(section: CochainSection) -> bool:
-    """Cohomological vanishing, tested through the transform isomorphism."""
-    return penrose_transform(section).is_zero()
 
 
 def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[list[Fraction]]:

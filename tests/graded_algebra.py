@@ -12,6 +12,14 @@ from functools import lru_cache
 from monogenic.charts import BASE
 from monogenic.laurent import InternalCheckError, LaurentPoly, Scalar
 
+_X12_SLOT = BASE.index["x12"]
+
+
+def weighted_degree(exps: tuple[int, ...]) -> int:
+    """Grading on base monomials: x12 (grade -2) counts twice, the linear slots once."""
+    return sum(exps) + exps[_X12_SLOT]
+
+
 # (block, i, j): the unit in row i, column j of X1 (block 1) or X2 (block 2).
 GRADE1_BASIS = tuple((block, i, j) for block in (1, 2) for i in range(3) for j in range(2))
 
@@ -77,5 +85,5 @@ def central_corrections() -> dict[tuple[int, int, int], LaurentPoly]:
                 block, i, j = v
                 (exps,) = LaurentPoly.variable(BASE, f"x{block}_{i + 1}{j + 1}").terms
                 terms[exps] = Fraction(1, 2) * kappa
-        out[u] = LaurentPoly.from_dict(BASE, terms)
+        out[u] = LaurentPoly(BASE, terms)
     return out

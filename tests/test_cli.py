@@ -1,6 +1,7 @@
 """Command-line surface: calibration flow, exit codes, stable output."""
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -283,8 +284,9 @@ def test_overlong_weight_entry_is_a_precondition_error(workdir, capsys, fmt):
         ("epsilon = +1\nclifford_norm = 1/1\nbogus = 7\n", "unknown key 'bogus' on line 3"),
         ("epsilon = +1\nclifford_norm = 1/1\nclifford_norm = 2\n", "repeated key 'clifford_norm' on line 3"),
         ("epsilon = +1\nweight\nclifford_norm = 1/1\n", "no '=' on line 2"),
+        ("epsilon = +1\nclifford_norm = 1e99999999\n", "bad clifford_norm value '1e99999999' on line 2"),
     ],
-    ids=["unknown", "repeated", "no-equals"],
+    ids=["unknown", "repeated", "no-equals", "decimal"],
 )
 def test_malformed_config_lines_are_rejected(workdir, capsys, config, problem):
     path = write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
@@ -436,3 +438,28 @@ def test_package_exports_the_names_the_harness_and_scripts_use():
     called |= {"hwv_complete", "penrose_transform", "hwv_test", "label_of_hwv", "IrrepLabel", "is_monogenic"}
     for name in sorted(called):
         assert callable(getattr(monogenic, name, None)), name
+
+
+def test_traced_layers_resolve_after_importing_the_package():
+    # perfbench/tracing.py wraps each LAYERS (module, attribute) that is loaded
+    # when the tracer installs; a renamed attribute or a module the package no
+    # longer loads would make its per-layer metrics read 0 without an error.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, monogenic; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "monogenic.weyl" not in loaded and "monogenic.cli" not in loaded
+    for _, module_name, attribute, _ in tracing.LAYERS:
+        target = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), (module_name, attribute)
+        assert module_name == "monogenic.cli" or module_name in loaded, module_name

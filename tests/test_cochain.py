@@ -171,7 +171,7 @@ def test_root_shifts_on_monomials():
                 continue
             before = weight_of_monomial(f)
             after = weight_of_monomial(
-                CochainSection(LaurentPoly.from_dict(TWISTOR, {image.body.sole_term()[0]: 1}))
+                CochainSection(LaurentPoly(TWISTOR, {image.body.sole_term()[0]: 1}))
             )
             assert tuple(a - b for a, b in zip(after.gl2, before.gl2)) == gl2_shift
             assert tuple(a - b for a, b in zip(after.gl4, before.gl4)) == gl4_shift

@@ -38,7 +38,7 @@ from monogenic.laurent import (
     matrix_rank,
 )
 from monogenic.repn import decompose_Mk
-from monogenic.transform import SpinorField, penrose_transform, weighted_degree
+from monogenic.transform import SpinorField, penrose_transform
 from monogenic.weyl import WEYL_GENERATORS
 
 from graded_algebra import (
@@ -47,6 +47,7 @@ from graded_algebra import (
     center_coefficient,
     central_corrections,
     matrix_commutator,
+    weighted_degree,
 )
 
 
@@ -324,7 +325,7 @@ base_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), *[st.integers(0, 2)] * (len(BASE) - 1)),
     st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
     max_size=4,
-).map(lambda terms: LaurentPoly.from_dict(BASE, terms))
+).map(lambda terms: LaurentPoly(BASE, terms))
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,7 +65,7 @@ def test_complete_001_candidates_cover_the_weight_space():
     for e in exps:
         from monogenic.laurent import LaurentPoly
 
-        w = weight_of_monomial(CochainSection(LaurentPoly.from_dict(TWISTOR, {e: 1})))
+        w = weight_of_monomial(CochainSection(LaurentPoly(TWISTOR, {e: 1})))
         assert w.gl2 == lead.gl2
         assert w.same_sl4(lead)
 

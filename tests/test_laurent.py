@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from monogenic.charts import BASE
 from monogenic.laurent import (
     Alphabet,
     AlphabetMismatch,
@@ -19,7 +20,7 @@ MIXED = Alphabet(("u", "v", "zeta1"), negatives=("zeta1",))
 
 
 def poly(alphabet, terms):
-    return LaurentPoly.from_dict(alphabet, terms)
+    return LaurentPoly(alphabet, terms)
 
 
 def coefficients():
@@ -64,6 +65,15 @@ def test_negative_exponent_rejected_off_the_invertible_set():
         LaurentPoly.variable(AB, "x", -1)
     with pytest.raises(PreconditionError):
         poly(MIXED, {(-1, 0, 0): 1})
+
+
+def test_public_construction_is_canonical():
+    zero_term = LaurentPoly(BASE, {BASE.zero_exponents(): Fraction(0)})
+    assert zero_term == LaurentPoly.zero(BASE)
+    assert zero_term.is_zero()
+    assert zero_term.to_string() == "0"
+    with pytest.raises(PreconditionError):
+        LaurentPoly(BASE, {(-1,) + (0,) * (len(BASE) - 1): Fraction(1)})  # x12^-1
 
 
 @given(mixed_polys(), mixed_polys(), mixed_polys())
