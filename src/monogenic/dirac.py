@@ -175,17 +175,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
-def degree_exponents(k: int) -> list[Exponents]:
-    """All base monomial exponent vectors of weighted degree k (x12 weighs 2)."""
-    if k < 0:
-        raise PreconditionError("degree must be non-negative")
-    out = []
-    for m in range(k // 2 + 1):
-        for linear in _compositions(k - 2 * m, len(BASE) - 1):
-            out.append((m,) + linear)
-    return sorted(out)
-
-
 def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
     """Sparse image of the basis spinor (monomial `exps` in slot nu), times ``op.scale``.
 

@@ -6,7 +6,8 @@ weight blocks.  The Weyl group S2 x S4 acts on spinors and on the operator's
 outputs by signed permutations P and Q, and D P = Q D, so the blocks of one
 Weyl orbit have equal size and rank.  Both facts are checked exactly, once
 per operator, before a kernel is counted (`_certify_weyl_symmetry`); the
-count then ranks only the blocks of dominant weight.
+count then builds and ranks only the blocks of dominant weight, straight
+from the monomials of the two GL(2) rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .charts import BASE
@@ -23,11 +24,11 @@ from .dirac import (
     DiracOperator,
     _basis_var,
     _column_image,
+    _compositions,
     _direction,
     _volume_coefficient,
-    degree_exponents,
 )
-from .laurent import Exponents, InternalCheckError, matrix_rank
+from .laurent import Exponents, InternalCheckError, PreconditionError, matrix_rank
 
 
 # A torus weight of GL(2) x GL(4) is six ints (c0, c1 | f0, f1, f2, f3).
@@ -46,6 +47,12 @@ _VARIABLE_WEIGHTS = tuple(
     else _unit(_LINEAR[s][2], *(2 + a for a in LAMBDA2_IMAGE[_direction(*_LINEAR[s][:2])][0]))
     for s in range(len(BASE))
 )
+
+
+# The six variables of each GL(2) row j (column j of X1 and X2), in BASE order;
+# _place puts the exponents of x12, row 0 and row 1, concatenated, in BASE order.
+_ROWS = tuple(tuple(s for s in _LINEAR if _LINEAR[s][2] == j) for j in range(2))
+_place = itemgetter(*map(((_X12,) + _ROWS[0] + _ROWS[1]).index, range(len(BASE))))
 
 
 def _weight(exps: Exponents) -> tuple[int, ...]:
@@ -166,11 +173,7 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
 
 def _unpack(key: int, base: int) -> tuple[int, ...]:
     """The weight packed into `key`, coordinate t as digit t in `base`."""
-    digits = []
-    for _ in range(6):
-        key, v = divmod(key, base)
-        digits.append(v)
-    return tuple(digits)
+    return tuple(key // base**t % base for t in range(6))
 
 
 def _orbit_size(w: tuple[int, ...]) -> int:
@@ -183,41 +186,77 @@ def _orbit_size(w: tuple[int, ...]) -> int:
     return size
 
 
-def orbit_kernel_dim(op: DiracOperator, k: int) -> int:
-    """Exact dimension of the space of degree-k spinors killed by both operators.
+def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]]]:
+    """The degree-k columns (nu, exps) of each dominant weight, sorted by (exps, nu).
 
-    The operator preserves the GL(2) x GL(4) torus weight w(e) + f_nu of a
-    basis spinor x^e (x) f_nu and commutes with the Weyl group S2 x S4 acting
-    by signed permutations; `_certify_weyl_symmetry` checks both once per
-    operator.  So the matrix splits into weight blocks, and the blocks of one
-    Weyl orbit have equal size and rank: the nullity is the sum over dominant
-    weights lambda of |W.lambda| * (n_lambda - rank B_lambda).  Only the
-    columns of dominant weight are imaged, and each block is one sparse
-    `matrix_rank` of their integer column images (rank(A) = rank(A^T)).
+    A degree-k monomial is x12^m times monomials of degrees d0 and d1 in the
+    six variables of GL(2) rows 0 and 1, and c0 - c1 = d0 - d1, so only
+    d0 >= d1 can be dominant.  Each row's monomials are grouped by weight,
+    and a pair of groups is assembled only for the slots nu that make the
+    sum dominant.  `_echelon`'s cost depends on the order of its rows.
     """
-    _certify_weyl_symmetry(op)
+    if k < 0:
+        raise PreconditionError("degree must be non-negative")
     # Weights are packed into one int, coordinate t as digit t in base k + 2:
     # every coordinate of a degree-k spinor lies in 0..k+1.
     base = k + 2
     packed = [sum(v * base**t for t, v in enumerate(w)) for w in _VARIABLE_WEIGHTS]
-    slots = [base ** (2 + nu) for nu in range(4)]
-    dominant: dict[int, tuple[int, ...] | None] = {}  # packed weight -> the weight, if dominant
+    tables = [[{} for _ in range(k + 1)] for _ in _ROWS]  # [j][d]: packed weight -> row j's monomials
+    for j, row in enumerate(_ROWS):
+        weights = [packed[s] for s in row]
+        for d in range(k + 1 if j == 0 else k // 2 + 1):  # d1 <= k / 2
+            for a in _compositions(d, len(row)):
+                tables[j][d].setdefault(sum(map(mul, a, weights)), []).append(a)
+    # Dominance is read off the GL(4) digits of w0 + w1 alone: the GL(2)
+    # digits are d0 >= d1, and x12^m adds m to every coordinate.
+    slots, gl4 = [base ** (2 + nu) for nu in range(4)], base**2
+    dominant_slots: dict[int, list[tuple[int, int]]] = {}  # w // gl4 -> the (nu, f_nu) kept
     blocks: dict[int, list[tuple[int, Exponents]]] = {}
-    for exps in degree_exponents(k):
-        w = sum(map(mul, exps, packed))
-        for nu, f in enumerate(slots):
-            key = w + f
-            if key not in dominant:
-                lam = _unpack(key, base)
-                dominant[key] = lam if lam[0] >= lam[1] and lam[2] >= lam[3] >= lam[4] >= lam[5] else None
-            if dominant[key]:
-                blocks.setdefault(key, []).append((nu, exps))
-    nullity = 0
-    for key, columns in blocks.items():
+    for m in range(k // 2 + 1):
+        for d1 in range((k - 2 * m) // 2 + 1):
+            for w0, rows0 in tables[0][k - 2 * m - d1].items():
+                for w1, rows1 in tables[1][d1].items():
+                    w = w0 + w1
+                    kept = dominant_slots.get(w // gl4)
+                    if kept is None:
+                        f = _unpack(w, base)[2:]  # kept: the nu with f + f_nu non-increasing
+                        kept = dominant_slots[w // gl4] = [
+                            (nu, f_nu) for nu, f_nu in enumerate(slots)
+                            if all(f[t] + (t == nu) >= f[t + 1] + (t + 1 == nu) for t in range(3))
+                        ]
+                    if kept:
+                        w += m * packed[_X12]
+                        monomials = [_place((m,) + a + b) for a in rows0 for b in rows1]
+                        for nu, f_nu in kept:
+                            blocks.setdefault(w + f_nu, []).extend((nu, e) for e in monomials)
+    return {_unpack(key, base): sorted(cols, key=itemgetter(1, 0)) for key, cols in blocks.items()}
+
+
+def kernel_character(op: DiracOperator, k: int) -> dict[tuple[int, ...], int]:
+    """The degree-k kernel by weight: each dominant lambda -> m_lambda = n_lambda - rank B_lambda.
+
+    The operator preserves the torus weight w(e) + f_nu of x^e (x) f_nu, so
+    its matrix splits into weight blocks B_lambda of n_lambda columns, and
+    m_lambda is the kernel's dimension at weight lambda.  Each block is one
+    sparse `matrix_rank` of its integer column images (rank(A) = rank(A^T)).
+    """
+    _certify_weyl_symmetry(op)
+    character = {}
+    for lam, columns in _dominant_blocks(k).items():
         row_id: dict[tuple[int, int, Exponents], int] = {}
         images = [
             {row_id.setdefault(out, len(row_id)): w for out, w in _column_image(op, nu, exps).items()}
             for nu, exps in columns
         ]
-        nullity += _orbit_size(dominant[key]) * (len(images) - matrix_rank(images))
-    return nullity
+        character[lam] = len(images) - matrix_rank(images)
+    return character
+
+
+def orbit_kernel_dim(op: DiracOperator, k: int) -> int:
+    """Exact dimension of the space of degree-k spinors killed by both operators.
+
+    The operator commutes with the Weyl group S2 x S4, so the weight blocks
+    of one orbit have equal size and rank: the nullity is the sum over
+    dominant lambda of |W.lambda| * m_lambda (`kernel_character`).
+    """
+    return sum(_orbit_size(lam) * m for lam, m in kernel_character(op, k).items())

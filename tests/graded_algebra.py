@@ -1,16 +1,23 @@
-"""Test oracle: the grade -1 bracket read off commutators of 10x10 matrices.
+"""Test oracles for the graded algebra and the graded spinor bases.
 
 The engine writes the central structure constants in closed form
 (`monogenic.dirac.central_bracket`).  This module keeps the independent
 route: embed (X1, X2, X12) into the graded algebra of C^10 and take the
 x12 coefficient of dense Fraction commutators.
+
+The engine builds only the dominant weight blocks of degree-k spinors
+(`monogenic.weyl`).  This module keeps the full basis of degree-k monomials
+and its weight blocks, found by one pass over every (monomial, slot) column.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from monogenic.charts import BASE
-from monogenic.laurent import InternalCheckError, LaurentPoly, Scalar
+from monogenic.dirac import _compositions
+from monogenic.laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
+from monogenic.weyl import _unit, _weight
 
 _X12_SLOT = BASE.index["x12"]
 
@@ -18,6 +25,26 @@ _X12_SLOT = BASE.index["x12"]
 def weighted_degree(exps: tuple[int, ...]) -> int:
     """Grading on base monomials: x12 (grade -2) counts twice, the linear slots once."""
     return sum(exps) + exps[_X12_SLOT]
+
+
+def degree_exponents(k: int) -> list[Exponents]:
+    """All base monomial exponent vectors of weighted degree k (x12 weighs 2)."""
+    if k < 0:
+        raise PreconditionError("degree must be non-negative")
+    out = []
+    for m in range(k // 2 + 1):
+        for linear in _compositions(k - 2 * m, len(BASE) - 1):
+            out.append((m,) + linear)
+    return sorted(out)
+
+
+def weight_columns(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]]]:
+    """Every degree-k column (nu, exps), by the torus weight w(exps) + f_nu, in (exps, nu) order."""
+    blocks: dict[tuple[int, ...], list[tuple[int, Exponents]]] = {}
+    for exps in degree_exponents(k):
+        for nu in range(4):
+            blocks.setdefault(tuple(map(add, _weight(exps), _unit(2 + nu))), []).append((nu, exps))
+    return blocks
 
 
 # (block, i, j): the unit in row i, column j of X1 (block 1) or X2 (block 2).

@@ -1,5 +1,6 @@
 """The constructed operator pair: Clifford data, calibration, graded kernels."""
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,6 @@ from monogenic.dirac import (
     build_dirac,
     central_bracket,
     clifford_matrix,
-    degree_exponents,
     graded_kernel_dim,
     is_monogenic,
     wedge_pair_sign,
@@ -39,14 +39,16 @@ from monogenic.laurent import (
 )
 from monogenic.repn import decompose_Mk
 from monogenic.transform import SpinorField, penrose_transform
-from monogenic.weyl import WEYL_GENERATORS
+from monogenic.weyl import WEYL_GENERATORS, _dominant_blocks, _orbit_size, kernel_character
 
 from graded_algebra import (
     GRADE1_BASIS,
     basis_matrix,
     center_coefficient,
     central_corrections,
+    degree_exponents,
     matrix_commutator,
+    weight_columns,
     weighted_degree,
 )
 
@@ -346,6 +348,57 @@ def test_orbit_count_agrees_with_the_global_rank(conventions):
     op = build_dirac(*conventions)
     for k in range(6):
         assert graded_kernel_dim(op, k) == global_kernel_dim(op, k)
+
+
+def is_dominant(weight):
+    # The largest weight of its Weyl orbit: both parts non-increasing.
+    return all(list(part) == sorted(part, reverse=True) for part in (weight[:2], weight[2:]))
+
+
+def test_dominant_blocks_are_the_oracle_partition():
+    # The directly built blocks hold exactly the dominant columns that one
+    # pass over every (monomial, slot) column finds, in the same order.
+    for k in range(7):
+        expected = {lam: cols for lam, cols in weight_columns(k).items() if is_dominant(lam)}
+        assert _dominant_blocks(k) == expected, k
+
+
+def test_dominant_blocks_count_every_column():
+    # Each block stands for its whole Weyl orbit, so the orbit-weighted block
+    # sizes add up to the 4 * (number of degree-k monomials) columns; a lost
+    # or doubled column shows here at degrees too large for the oracle.
+    sizes = [48, 316, 1504, 5776, 18976, 55280, 146272, 357608, 818112]
+    for k, size in enumerate(sizes, start=1):
+        monomials = sum(math.comb(k - 2 * m + 11, 11) for m in range(k // 2 + 1))
+        blocks = _dominant_blocks(k)
+        assert all(is_dominant(lam) for lam in blocks)
+        assert sum(_orbit_size(lam) * len(cols) for lam, cols in blocks.items()) == 4 * monomials == size
+    with pytest.raises(PreconditionError):
+        _dominant_blocks(-1)
+
+
+def test_kernel_character_is_the_per_weight_nullity():
+    # Oracle: the global matrix of every column's integer image, restricted to
+    # the columns of one weight mu, has nullity m_lambda for lambda the
+    # dominant weight of mu's orbit; the nullities over all weights add up to
+    # the global nullity, so the weight blocks split the matrix.
+    op = calibrated()
+    for k in range(5):
+        row_id = {}
+        columns = weight_columns(k)
+        nullity = {
+            mu: len(cols) - matrix_rank([
+                {row_id.setdefault(key, len(row_id)): w for key, w in _column_image(op, *col).items()}
+                for col in cols
+            ])
+            for mu, cols in columns.items()
+        }
+        character = kernel_character(op, k)
+        assert set(character) == {mu for mu in columns if is_dominant(mu)}
+        for mu, m in nullity.items():
+            dominant = tuple(sorted(mu[:2], reverse=True)) + tuple(sorted(mu[2:], reverse=True))
+            assert character[dominant] == m, (k, mu)
+        assert sum(nullity.values()) == global_kernel_dim(op, k) == graded_kernel_dim(op, k)
 
 
 @pytest.mark.parametrize("conventions", OPERATORS)
