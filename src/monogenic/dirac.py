@@ -104,7 +104,9 @@ class DiracOperator:
     directions.  ``plan[nu]`` is that operator on spinor slot nu: (source
     slot, exponent shift, ((j, mu, weight), ...)) triples, whose weights are
     the exact coefficients times ``scale``, the lcm of their denominators.
-    Every use of the operator goes through `_column_image`.
+    `apply_2dirac` and the Weyl certificate read it one basis spinor at a
+    time (`_column_image`); the kernel count reads it one weight block of
+    output rows at a time (`weyl._block_rows`).
     """
 
     epsilon: int

@@ -6,8 +6,9 @@ weight blocks.  The Weyl group S2 x S4 acts on spinors and on the operator's
 outputs by signed permutations P and Q, and D P = Q D, so the blocks of one
 Weyl orbit have equal size and rank.  Both facts are checked exactly, once
 per operator, before a kernel is counted (`_certify_weyl_symmetry`); the
-count then builds and ranks only the blocks of dominant weight, straight
-from the monomials of the two GL(2) rows.
+count then builds only the blocks of dominant weight, straight from the
+monomials of the two GL(2) rows, and ranks each by its output rows, read
+off the operator's plan with monomials packed into int keys.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter, mul
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .charts import BASE
 from .dirac import (
@@ -142,7 +143,8 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
 
     Raises InternalCheckError unless:
     - every plan entry preserves weight, and the shifts of one slot are
-      distinct, so `_column_image` never writes two entries to one key;
+      distinct, so neither `_column_image` nor `_block_rows` writes two
+      entries to one key;
     - each generator moves the weight of every variable and slot as it moves
       weights, so P maps the columns of weight lambda onto those of g(lambda);
     - D(P(x_s (x) f_nu)) = Q(D(x_s (x) f_nu)) for every variable s and slot nu.
@@ -232,24 +234,50 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]
     return {_unpack(key, base): sorted(cols, key=itemgetter(1, 0)) for key, cols in blocks.items()}
 
 
+def _block_rows(
+    op: DiracOperator, k: int, blocks: Iterable[list[tuple[int, Exponents]]]
+) -> Iterator[dict[int, dict[int, int]]]:
+    """The rows of each block of degree-k columns (nu, exps): output key -> {column index: weight}.
+
+    Row (j, mu, e) has the key 8 * packed(e) + 4j + mu, where `packed` reads
+    the exponents as big-endian digits in base k + 1.  Packing is linear, so
+    each plan entry's outputs sit at a fixed offset from packed(exps), and it
+    is injective on the digits 0..k of every monomial of degree at most k.
+    """
+    radix = [8 * (k + 1) ** t for t in reversed(range(len(BASE)))]
+    entries = [
+        [(s, [(sum(map(mul, delta, radix)) + 4 * j + mu, w) for j, mu, w in outputs])
+         for s, delta, outputs in slot]
+        for slot in op.plan
+    ]
+    for columns in blocks:
+        rows: dict[int, dict[int, int]] = {}
+        for c, (nu, exps) in enumerate(columns):
+            code = sum(map(mul, exps, radix))
+            for s, outputs in entries[nu]:
+                m = exps[s]
+                if m:
+                    for offset, w in outputs:
+                        rows.setdefault(code + offset, {})[c] = m * w
+        yield rows
+
+
 def kernel_character(op: DiracOperator, k: int) -> dict[tuple[int, ...], int]:
     """The degree-k kernel by weight: each dominant lambda -> m_lambda = n_lambda - rank B_lambda.
 
     The operator preserves the torus weight w(e) + f_nu of x^e (x) f_nu, so
     its matrix splits into weight blocks B_lambda of n_lambda columns, and
     m_lambda is the kernel's dimension at weight lambda.  Each block is one
-    sparse `matrix_rank` of its integer column images (rank(A) = rank(A^T)).
+    sparse `matrix_rank` of its rows, one per output coordinate
+    (`_block_rows`): rank(B) = rank(B^T), and a large kernel leaves fewer
+    output rows than column images to eliminate.
     """
     _certify_weyl_symmetry(op)
-    character = {}
-    for lam, columns in _dominant_blocks(k).items():
-        row_id: dict[tuple[int, int, Exponents], int] = {}
-        images = [
-            {row_id.setdefault(out, len(row_id)): w for out, w in _column_image(op, nu, exps).items()}
-            for nu, exps in columns
-        ]
-        character[lam] = len(images) - matrix_rank(images)
-    return character
+    blocks = _dominant_blocks(k)
+    return {
+        lam: len(columns) - matrix_rank(list(rows.values()))
+        for (lam, columns), rows in zip(blocks.items(), _block_rows(op, k, blocks.values()))
+    }
 
 
 def orbit_kernel_dim(op: DiracOperator, k: int) -> int:

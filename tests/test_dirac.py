@@ -39,7 +39,13 @@ from monogenic.laurent import (
 )
 from monogenic.repn import decompose_Mk
 from monogenic.transform import SpinorField, penrose_transform
-from monogenic.weyl import WEYL_GENERATORS, _dominant_blocks, _orbit_size, kernel_character
+from monogenic.weyl import (
+    WEYL_GENERATORS,
+    _block_rows,
+    _dominant_blocks,
+    _orbit_size,
+    kernel_character,
+)
 
 from graded_algebra import (
     GRADE1_BASIS,
@@ -282,9 +288,13 @@ def test_graded_kernel_dimension_degree_seven():
     assert_kernel_dimension(7, 45760)
 
 
-@pytest.mark.slow
 def test_graded_kernel_dimension_degree_eight():
     assert_kernel_dimension(8, 97240)
+
+
+@pytest.mark.slow
+def test_graded_kernel_dimension_degree_nine():
+    assert_kernel_dimension(9, 194480)
 
 
 def test_degree_basis_sizes():
@@ -375,6 +385,35 @@ def test_dominant_blocks_count_every_column():
         assert sum(_orbit_size(lam) * len(cols) for lam, cols in blocks.items()) == 4 * monomials == size
     with pytest.raises(PreconditionError):
         _dominant_blocks(-1)
+
+
+def decode_output_key(key, k):
+    # An output key is 8 * packed(e) + 4j + mu, packed(e) the exponents read
+    # as big-endian digits in base k + 1.
+    code, (j, mu) = key // 8, divmod(key % 8, 4)
+    digits = []
+    for _ in range(len(BASE)):
+        code, digit = divmod(code, k + 1)
+        digits.append(digit)
+    assert code == 0, key
+    return j, mu, tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("conventions", OPERATORS)
+def test_block_rows_are_the_transposed_column_images(conventions):
+    # Each block's rows, their keys decoded, are the transpose of the integer
+    # column images on its columns; two outputs packed to one key would merge
+    # two rows here even where the rank stays the same.
+    op = build_dirac(*conventions)
+    for k in range(6):
+        blocks = _dominant_blocks(k)
+        for columns, rows in zip(blocks.values(), _block_rows(op, k, blocks.values())):
+            transposed = {}
+            for c, col in enumerate(columns):
+                for out, w in _column_image(op, *col).items():
+                    transposed.setdefault(out, {})[c] = w
+            decoded = {decode_output_key(key, k): row for key, row in rows.items()}
+            assert decoded == transposed, k
 
 
 def test_kernel_character_is_the_per_weight_nullity():
