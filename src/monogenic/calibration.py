@@ -122,8 +122,12 @@ def read_config(directory: Path | str = ".") -> CalibrationConfig:
         raise PreconditionError(
             f"calibration file {path} not found; run the `calibrate` command first"
         )
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read calibration file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for number, text in enumerate(path.read_text().splitlines(), start=1):
+    for number, text in enumerate(lines, start=1):
         if not text.strip():
             continue
         key, eq, raw = text.partition("=")

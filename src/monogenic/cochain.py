@@ -16,8 +16,9 @@ The reductive action is implemented as a derivation from the coordinate table
 
 with every unlisted derivative zero, plus the line-bundle twist 5*zeta1*f on
 each E12 application.  The E12/zeta1 entry is forced by the raising-chain
-coefficients and by the highest-weight completions; see the repository README
-for the calibration story.
+coefficients (the test oracle `tests/cochain_oracle.py`) and by the
+highest-weight completions; see the repository README for the calibration
+story.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .charts import TWISTOR, Z_VARS, ZETA_VARS
-from .laurent import (
-    InternalCheckError,
-    LaurentPoly,
-    PreconditionError,
-    Scalar,
-)
+from .laurent import LaurentPoly, PreconditionError, Scalar
 
 POSITIVE_SIMPLE_ROOTS = ("A12", "E12", "E23", "E34")
 ROOT_NAMES = ("A12", "E12", "E21", "E23", "E32", "E34", "E43")
@@ -109,26 +105,12 @@ class Weight:
     gl2: tuple[Fraction, Fraction]
     gl4: tuple[int, int, int, int]
 
-    def is_dominant(self) -> bool:
-        a, b = self.gl2
-        return a >= b and all(
-            self.gl4[i] >= self.gl4[i + 1] for i in range(3)
-        )
-
     def gl4_normalized(self) -> tuple[int, int, int, int]:
         last = self.gl4[3]
         return tuple(v - last for v in self.gl4)
 
     def same_sl4(self, other: "Weight") -> bool:
         return self.gl4_normalized() == other.gl4_normalized()
-
-    def pair(self, gl2_diag: tuple[Scalar, Scalar], sl4_diag: tuple[Scalar, ...]) -> Fraction:
-        total = Fraction(0)
-        for w, a in zip(self.gl2, gl2_diag):
-            total += w * Fraction(a)
-        for w, a in zip(self.gl4, sl4_diag):
-            total += w * Fraction(a)
-        return total
 
 
 def weight_of_monomial(section: CochainSection) -> Weight:
@@ -182,14 +164,6 @@ _TABLES = _build_tables()
 _E12_TWIST = _poly({"zeta1": 1}, 5)
 
 
-def coordinate_action(root: str, variable: str) -> LaurentPoly:
-    """The raw table entry: the derivative of one chart coordinate (no twist)."""
-    if root not in ROOT_NAMES:
-        raise PreconditionError(f"unknown root {root!r}")
-    table = _TABLES[root]
-    return table.get(variable, LaurentPoly.zero(TWISTOR))
-
-
 def g0_action(root: str, section: CochainSection) -> CochainSection:
     """Act by one root on a section: table derivation plus the E12 twist."""
     if root not in ROOT_NAMES:
@@ -198,42 +172,6 @@ def g0_action(root: str, section: CochainSection) -> CochainSection:
     parts = [value * d for value, d in derivatives if not d.is_zero()]
     if root == "E12":
         parts.append(_E12_TWIST * section.body)
-    return CochainSection(LaurentPoly.sum(TWISTOR, parts))
-
-
-def cartan_action(
-    section: CochainSection,
-    gl2_diag: tuple[Scalar, Scalar],
-    sl4_diag: tuple[Scalar, Scalar, Scalar, Scalar],
-) -> CochainSection:
-    """Act by a diagonal (Cartan) element; the gl(4) part must be traceless.
-
-    Derived from the same frame normalization as the root table: z_ij scales
-    by a1 + a_{i+1} + alpha_j, z0 by alpha1 + alpha2, zeta_k by
-    2 a1 + (sum of the two a's other than a_{k+1}), and the bundle twist
-    contributes 5 a1 + 5/2 (alpha1 + alpha2).
-    """
-    a = tuple(Fraction(v) for v in sl4_diag)
-    al = tuple(Fraction(v) for v in gl2_diag)
-    if sum(a) != 0:
-        raise PreconditionError("the gl(4) diagonal must be traceless")
-    coeff = {
-        "z0": al[0] + al[1],
-        "zeta1": 2 * a[0] + a[2] + a[3],
-        "zeta2": 2 * a[0] + a[1] + a[3],
-        "zeta3": 2 * a[0] + a[1] + a[2],
-    }
-    for i in (1, 2, 3):
-        for j in (1, 2):
-            coeff[f"z{i}{j}"] = a[0] + a[i] + al[j - 1]
-    parts = [
-        (LaurentPoly.variable(TWISTOR, name) * section.body.derivative(name)).scale(c)
-        for name, c in coeff.items()
-        if c
-    ]
-    twist = 5 * a[0] + Fraction(5, 2) * (al[0] + al[1])
-    if twist:
-        parts.append(section.body.scale(twist))
     return CochainSection(LaurentPoly.sum(TWISTOR, parts))
 
 
@@ -260,44 +198,3 @@ def triviality_certificate(section: CochainSection) -> Certificate:
         return Certificate.TRIVIAL_EXTENDS
     return Certificate.INCONCLUSIVE
 
-
-# --------------------------------------------------------------- raising chain
-def _chain_coefficient(section: CochainSection, z: dict[str, int], poles: tuple[int, int, int]) -> Fraction:
-    powers = dict(z)
-    for name, r in zip(ZETA_VARS, poles):
-        powers[name] = -r
-    target = LaurentPoly.monomial(TWISTOR, powers).sole_term()[0]
-    return section.body.coefficient(target)
-
-
-def raising_chain(section: CochainSection) -> tuple[CochainSection, tuple[Fraction, Fraction, Fraction]]:
-    """Apply E12^(r-3) E23^(r2+r3-2) E34^(r3-1) to a dominant monomial.
-
-    Returns the chained section together with the scalars (A, B, C): the
-    coefficients of the leading monomial after each stage, i.e. at poles
-    (r1, r2+r3-1, 1), (r1+r2+r3-2, 1, 1) and (1, 1, 1) with the z part fixed.
-    C != 0 is asserted (dominance guarantees it).
-    """
-    if not section.is_monomial():
-        raise PreconditionError("raising_chain expects a single monomial")
-    s0, z, (r1, r2, r3), coeff = section.monomial_data()
-    if s0 != 0:
-        raise PreconditionError("raising_chain requires s0 = 0")
-    if min(r1, r2, r3) < 1:
-        raise PreconditionError("raising_chain requires all pole orders >= 1")
-    if not weight_of_monomial(section).is_dominant():
-        raise PreconditionError("raising_chain requires a dominant weight")
-
-    current = section
-    for _ in range(r3 - 1):
-        current = g0_action("E34", current)
-    a = _chain_coefficient(current, z, (r1, r2 + r3 - 1, 1)) / coeff
-    for _ in range(r2 + r3 - 2):
-        current = g0_action("E23", current)
-    b = _chain_coefficient(current, z, (r1 + r2 + r3 - 2, 1, 1)) / coeff
-    for _ in range(r1 + r2 + r3 - 3):
-        current = g0_action("E12", current)
-    c = _chain_coefficient(current, z, (1, 1, 1)) / coeff
-    if c == 0:
-        raise InternalCheckError("raising chain produced a vanishing leading coefficient")
-    return current, (a, b, c)

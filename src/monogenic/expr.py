@@ -7,10 +7,11 @@ Grammar (whitespace insensitive):
     rational := integer ['/' positive-integer]
     factor   := ident ['^' ['-'] integer]
 
-Identifiers come from the documented alphabets: sections use z0, z11..z32 and
-zeta1..zeta3 (only the zetas may carry negative exponents); spinor components
-use x12, x1_11..x1_32, x2_11..x2_32 with no negative exponents.  Parse errors
-carry the offending position.  An expression parses straight to its canonical
+Identifiers come from the alphabet the parser is given: sections use z0,
+z11..z32 and zeta1..zeta3 (`TWISTOR`), spinor components x12, x1_11..x1_32 and
+x2_11..x2_32 (`BASE`).  Only the names in the alphabet's `negatives` (the
+zetas) may carry negative exponents.  Parse errors carry the offending
+position.  An expression parses straight to its canonical
 `LaurentPoly` (like terms merged, zero terms dropped), whose `to_string` prints
 the terms in descending graded-lexicographic order with the signs absorbed into
 the separators, so print/parse round-trips are exact.
@@ -18,11 +19,10 @@ the separators, so print/parse round-trips are exact.
 
 from __future__ import annotations
 
-import enum
 import re
 from fractions import Fraction
 
-from .charts import BASE, TWISTOR, ZETA_VARS
+from .charts import BASE, TWISTOR
 from .cochain import CochainSection
 from .laurent import Alphabet, LaurentPoly
 from .transform import SpinorField
@@ -32,15 +32,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class Context(enum.Enum):
-    SECTION = "section"
-    SPINOR = "spinor"
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return TWISTOR if self is Context.SECTION else BASE
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
@@ -75,9 +66,9 @@ def _int_value(token: tuple[str, str, int]) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, context: Context):
+    def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
-        self.context = context
+        self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.cursor = 0
 
@@ -113,7 +104,7 @@ class _Parser:
                 terms.append(self.parse_term(-1 if value == "-" else 1))
             else:
                 raise ParseError(f"expected '+' or '-', found {value!r}", pos)
-        return LaurentPoly.sum(self.context.alphabet, terms)
+        return LaurentPoly.sum(self.alphabet, terms)
 
     def parse_term(self, sign: int) -> LaurentPoly:
         kind, value, pos = self.peek()
@@ -139,13 +130,12 @@ class _Parser:
             self.advance()
             name, exponent = self.parse_factor()
             powers[name] = powers.get(name, 0) + exponent
-        return LaurentPoly.monomial(self.context.alphabet, powers, coefficient)
+        return LaurentPoly.monomial(self.alphabet, powers, coefficient)
 
     def parse_factor(self) -> tuple[str, int]:
         token = self.expect("ident")
         name, pos = token[1], token[2]
-        alphabet = self.context.alphabet
-        if name not in alphabet.index:
+        if name not in self.alphabet.index:
             raise ParseError(f"unknown identifier {name!r}", pos)
         exponent = 1
         if self.peek()[:2] == ("op", "^"):
@@ -157,24 +147,21 @@ class _Parser:
             exponent = _int_value(self.expect("int"))
             if negative:
                 exponent = -exponent
-        if exponent < 0:
-            if self.context is Context.SPINOR:
-                raise ParseError(f"negative exponent on {name!r} in spinor context", pos)
-            if name not in ZETA_VARS:
-                raise ParseError(f"negative exponent on non-zeta identifier {name!r}", pos)
+        if exponent < 0 and name not in self.alphabet.negatives:
+            raise ParseError(f"negative exponent on {name!r}, which is not invertible", pos)
         return name, exponent
 
 
-def parse_expr(text: str, context: Context) -> LaurentPoly:
-    return _Parser(text, context).parse()
+def parse_expr(text: str, alphabet: Alphabet) -> LaurentPoly:
+    return _Parser(text, alphabet).parse()
 
 
 def parse_section(text: str) -> CochainSection:
-    return CochainSection(parse_expr(text, Context.SECTION))
+    return CochainSection(parse_expr(text, TWISTOR))
 
 
 def parse_spinor(text: str) -> SpinorField:
     parts = text.split(";")
     if len(parts) != 4:
         raise ParseError("a spinor needs exactly 4 ';'-separated components", 0)
-    return SpinorField(tuple(parse_expr(part, Context.SPINOR) for part in parts))
+    return SpinorField(tuple(parse_expr(part, BASE) for part in parts))

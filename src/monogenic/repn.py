@@ -97,21 +97,6 @@ def decompose_Mk(k: int) -> list[tuple[IrrepLabel, ModuleDescriptor]]:
     return [(lab, module_descriptor(lab)) for lab in labels]
 
 
-def multiplicity_free_check(k_max: int) -> bool:
-    """True iff all summand weight pairs up to degree k_max are distinct."""
-    if k_max < 0:
-        raise PreconditionError("degree must be non-negative")
-    seen: set[tuple] = set()
-    for k in range(k_max + 1):
-        for _, desc in decompose_Mk(k):
-            weight = Weight(gl2=desc.gl2_weight, gl4=desc.sl4_weight)
-            key = (weight.gl2, weight.gl4_normalized())
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
-
-
 def leading_term(a: int, b: int, l: int) -> tuple[Exponents, LaurentPoly]:
     """The lead monomial of the (a, b, l) highest weight vector and its z0^l part.
 

@@ -298,6 +298,19 @@ def test_malformed_config_lines_are_rejected(workdir, capsys, config, problem):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_config_is_a_precondition_error(workdir, capsys, kind):
+    path = workdir / "penrose-calibration.txt"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"epsilon = +1\nclifford_norm = 1/1\xff\n")
+    code, out, err = run(capsys, "kernel-dim", "--degree", "1")
+    assert code == 3
+    assert "cannot read calibration file penrose-calibration.txt" in err and "Traceback" not in err
+    assert out == ""
+
+
 # Strings over the expression grammar's tokens: well-formed sums of terms, the
 # same with one stray token spliced in, and token soup.  Each factor pool holds
 # one identifier of the other alphabet, one unknown name and one forbidden

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from monogenic.charts import BASE, TWISTOR
-from monogenic.expr import Context, ParseError, parse_expr, parse_section, parse_spinor
+from monogenic.expr import ParseError, parse_expr, parse_section, parse_spinor
 from monogenic.laurent import LaurentPoly
 
 
@@ -18,18 +18,18 @@ def test_parse_known_generator():
 
 
 def test_parse_coefficient_term():
-    p = parse_expr("1/2 * x1_11 * x2_12", Context.SPINOR)
+    p = parse_expr("1/2 * x1_11 * x2_12", BASE)
     assert p == LaurentPoly.monomial(BASE, {"x1_11": 1, "x2_12": 1}, Fraction(1, 2))
 
 
 def test_parse_unknown_identifier_positions():
     with pytest.raises(ParseError) as err:
-        parse_expr("zeta1^-1 + q", Context.SECTION)
+        parse_expr("zeta1^-1 + q", TWISTOR)
     assert err.value.position == 11
 
 
 def test_parse_sign_handling():
-    p = parse_expr("-z0 + 2*z11 - 1", Context.SECTION)
+    p = parse_expr("-z0 + 2*z11 - 1", TWISTOR)
     expected = (
         LaurentPoly.variable(TWISTOR, "z0").scale(-1)
         + LaurentPoly.variable(TWISTOR, "z11").scale(2)
@@ -40,20 +40,32 @@ def test_parse_sign_handling():
 
 def test_negative_exponent_rules():
     with pytest.raises(ParseError):
-        parse_expr("z11^-1", Context.SECTION)
+        parse_expr("z11^-1", TWISTOR)
     with pytest.raises(ParseError):
-        parse_expr("x12^-1", Context.SPINOR)
-    parse_expr("zeta2^-3", Context.SECTION)  # allowed
+        parse_expr("x12^-1", BASE)
+    parse_expr("zeta2^-3", TWISTOR)  # allowed
+
+
+@pytest.mark.parametrize("alphabet", [TWISTOR, BASE], ids=["twistor", "base"])
+def test_only_the_invertible_names_take_negative_exponents(alphabet):
+    for name in alphabet.names:
+        assert parse_expr(f"{name}^2", alphabet) == LaurentPoly.monomial(alphabet, {name: 2})
+        if name in alphabet.negatives:
+            assert parse_expr(f"{name}^-1", alphabet) == LaurentPoly.monomial(alphabet, {name: -1})
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_expr(f"{name}^-1", alphabet)
+            assert err.value.position == 0
 
 
 def test_malformed_inputs():
     for bad in ("z11 ^^ 2", "2 /", "* z11", "z11 z12", "1/0"):
         with pytest.raises(ParseError):
-            parse_expr(bad, Context.SECTION)
+            parse_expr(bad, TWISTOR)
 
 
 def test_like_terms_merge():
-    p = parse_expr("z11 + z11 - 2*z11", Context.SECTION)
+    p = parse_expr("z11 + z11 - 2*z11", TWISTOR)
     assert p.terms == {}
     assert p.to_string() == "0"
 
@@ -70,14 +82,14 @@ SUITE_EXPRESSIONS = [
 @pytest.mark.parametrize("text", SUITE_EXPRESSIONS)
 def test_print_parse_round_trip_ast(text):
     # The printed text is canonical: it reparses to the same text.
-    text = parse_expr(text, Context.SECTION).to_string()
-    assert parse_expr(text, Context.SECTION).to_string() == text
+    text = parse_expr(text, TWISTOR).to_string()
+    assert parse_expr(text, TWISTOR).to_string() == text
 
 
 @pytest.mark.parametrize("text", SUITE_EXPRESSIONS)
 def test_print_parse_round_trip_poly(text):
-    poly = parse_expr(text, Context.SECTION)
-    again = parse_expr(poly.to_string(), Context.SECTION)
+    poly = parse_expr(text, TWISTOR)
+    again = parse_expr(poly.to_string(), TWISTOR)
     assert again == poly
 
 

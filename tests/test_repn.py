@@ -14,8 +14,9 @@ from monogenic.repn import (
     dim_sl4,
     label_of_hwv,
     module_descriptor,
-    multiplicity_free_check,
 )
+
+from cochain_oracle import multiplicity_free_check
 
 
 def test_dim_gl2():
