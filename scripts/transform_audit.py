@@ -3,7 +3,9 @@
 Draws seeded pseudo-random Laurent sections, pushes them through the residue
 transform and checks exact monogenicity of every image; also counts how often
 the syntactic triviality certificates fire and how they relate to actual
-class vanishing.
+class vanishing.  A TrivialNegativePole or an Inconclusive certificate
+implies a zero image (an Inconclusive monomial is past the transform's reach
+bound), so a nonzero image under either fails the audit.
 
 Usage: python scripts/transform_audit.py [--samples N] [--seed S]
 """
@@ -50,6 +52,7 @@ def run(config: AuditConfig) -> bool:
     failures = 0
     certificates = {c: 0 for c in Certificate}
     certified_nonzero = 0
+    inconclusive_nonzero = 0
     zero_images = 0
     for _ in range(config.samples):
         section = random_monomial(rng, config)
@@ -63,13 +66,16 @@ def run(config: AuditConfig) -> bool:
         certificates[cert] += 1
         if cert is Certificate.TRIVIAL_NEGATIVE_POLE and not image.is_zero():
             certified_nonzero += 1
+        if cert is Certificate.INCONCLUSIVE and not image.is_zero():
+            inconclusive_nonzero += 1
     print(f"samples: {config.samples} (seed {config.seed}), {time.perf_counter() - t0:.2f}s")
     print(f"kernel failures: {failures}")
     print(f"zero transforms: {zero_images}")
     for cert, count in certificates.items():
         print(f"certificate {cert.value}: {count}")
     print(f"negative-pole certificates with nonzero image (must be 0): {certified_nonzero}")
-    return failures == 0 and certified_nonzero == 0
+    print(f"inconclusive certificates with nonzero image (must be 0): {inconclusive_nonzero}")
+    return failures == 0 and certified_nonzero == 0 and inconclusive_nonzero == 0
 
 
 def main() -> int:

@@ -187,7 +187,9 @@ def triviality_certificate(section: CochainSection) -> Certificate:
 
     The TrivialExtends branch is advisory only: the inequality is kept exactly
     as stated even though it is not a reliable vanishing test (a zero
-    `penrose_transform` is authoritative).
+    `penrose_transform` is authoritative).  Inconclusive, also kept as stated,
+    means every r_i >= 0 and sum(r) >= s0 + |Z| + 5: past the transform's
+    reach bound, so the image is zero.
     """
     if not section.is_monomial():
         raise PreconditionError("triviality_certificate expects a single monomial")

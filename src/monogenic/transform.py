@@ -68,14 +68,29 @@ def _weight_vector() -> tuple[LaurentPoly, ...]:
     return (one,) + tuple(LaurentPoly.variable(CORRESPONDENCE, name) for name in ZETA_VARS)
 
 
+def _reaches_residue(exps: Exponents) -> bool:
+    """False only for a monomial z0^s0 z^Z zeta^-r whose image is provably zero.
+
+    Its bindings multiply to zeta exponents >= 0 summing to at most s0 + |Z|
+    (each binding is affine in zeta), and component m needs zeta^(r - 1 - delta_m).
+    """
+    poles = [-exps[i] for i in _ZETA_SLOTS]
+    degree = sum(exps) + sum(poles)  # s0 + |Z|
+    return min(poles) >= 1 and sum(r - 1 for r in poles) <= degree + 1
+
+
 def penrose_transform(section: CochainSection) -> SpinorField:
     """Transform a finite Laurent section into a polynomial spinor field.
 
     Component m is the zeta1^-1 zeta2^-1 zeta3^-1 coefficient of the
     substituted section multiplied by the m-th entry of (1, zeta1, zeta2,
     zeta3).  Linear over rational scalars by construction.
+    Terms that fail `_reaches_residue` are dropped before the substitution.
     """
-    integrand = section.body.substitute(correspondence_substitution(), CORRESPONDENCE)
+    terms = {exps: c for exps, c in section.body.terms.items() if _reaches_residue(exps)}
+    if not terms:
+        return SpinorField.zero()
+    integrand = LaurentPoly(TWISTOR, terms).substitute(correspondence_substitution(), CORRESPONDENCE)
     components = []
     for weight in _weight_vector():
         residue = (integrand * weight).coefficient_of(ZETA_VARS, (-1, -1, -1))
@@ -86,21 +101,17 @@ def penrose_transform(section: CochainSection) -> SpinorField:
 def penrose_transforms(sections: Sequence[CochainSection]) -> list[SpinorField]:
     """The transforms of many sections by linearity: one residue per distinct monomial.
 
-    A monomial with a zeta exponent >= 0 has the zero image, with no
-    substitution: every binding has non-negative zeta exponents and the weight
-    vector adds at most one, so no term reaches zeta^-1 in that slot.  Every
-    other distinct monomial is transformed once by `penrose_transform`.
+    A monomial that fails `_reaches_residue` has the zero image, with no
+    substitution; every other distinct one is transformed once.
     """
-    images: dict[Exponents, SpinorField | None] = {}
+    images: dict[Exponents, SpinorField] = {}
     for section in sections:
         for exps in section.body.terms:
-            if exps in images:
-                continue
-            reaches_residue = all(exps[i] < 0 for i in _ZETA_SLOTS)
-            images[exps] = penrose_transform(CochainSection.from_terms({exps: 1})) if reaches_residue else None
+            if exps not in images and _reaches_residue(exps):
+                images[exps] = penrose_transform(CochainSection.from_terms({exps: 1}))
     return [
         SpinorField.combination(
-            (c, images[exps]) for exps, c in section.body.terms.items() if images[exps] is not None
+            (c, images[exps]) for exps, c in section.body.terms.items() if exps in images
         )
         for section in sections
     ]

@@ -2,6 +2,7 @@
 linearity, grading, vanishing and injectivity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -245,9 +246,11 @@ def test_linearity():
 
 
 def test_bindings_carry_no_zeta_poles():
-    # The certificate behind penrose_transforms' zero rule: the zetas pass
-    # through unbound and no binding has a negative zeta exponent, so a
-    # monomial with a zeta exponent >= 0 never reaches zeta^-1 in that slot.
+    # With test_every_binding_term_is_affine_in_zeta (test_charts.py), this
+    # certifies the reach rule both transform entry points share: the zetas
+    # pass through unbound and no binding has a negative zeta exponent, so the
+    # bindings of z0^s0 z^Z multiply to zeta exponents >= 0 summing to at most
+    # s0 + |Z|, and a monomial zeta^-r needing more than that has zero image.
     bindings = correspondence_substitution()
     assert set(bindings) == {"z0", *Z_VARS}
     slots = [CORRESPONDENCE.index[name] for name in ZETA_VARS]
@@ -278,6 +281,69 @@ shared_sections = st.lists(monomial_exponents, min_size=1, max_size=6, unique=Tr
 @given(shared_sections)
 def test_batched_transforms_equal_single_transforms(sections):
     assert penrose_transforms(sections) == [penrose_transform(s) for s in sections]
+
+
+@st.composite
+def reach_monomials(draw, past_bound=None):
+    """Exponents of z0^s0 z^Z zeta^-r with s0 in 0..3 and |Z| <= 4.
+
+    With past_bound None the pole orders are drawn from -2..7; otherwise they
+    are >= 1 with sum(r_i - 1) = s0 + |Z| + 1 + past_bound, where the bound
+    s0 + |Z| + 1 is the largest sum that reaches the residue.
+    """
+    s0 = draw(st.integers(0, 3))
+    z = draw(st.lists(st.sampled_from(Z_VARS), max_size=4))
+    if past_bound is None:
+        poles = draw(st.tuples(*[st.integers(-2, 7)] * 3))
+    else:
+        poles = [1, 1, 1]
+        for _ in range(s0 + len(z) + 1 + past_bound):
+            poles[draw(st.sampled_from([i for i in range(3) if poles[i] < 7]))] += 1
+    return mono(s0=s0, z=dict(Counter(z)), poles=tuple(poles)).body.sole_term()[0]
+
+
+# One term on the reach bound, one just past it, and at most one free term.
+mixed_sections = st.builds(
+    lambda pinned, free, coeffs: CochainSection.from_terms(dict(zip(pinned + free, coeffs))),
+    st.tuples(reach_monomials(past_bound=0), reach_monomials(past_bound=1)).map(list),
+    st.lists(reach_monomials(), max_size=1),
+    st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mixed_sections)
+def test_reach_rule_keeps_every_nonzero_image(section):
+    assert spinor_to_oracle(penrose_transform(section)) == oracle_transform(section)
+
+
+def test_reach_rule_boundary_cases():
+    zero = LaurentPoly.zero(BASE)
+    # sum(r_i - 1) = 2 = s0 + |Z| + 1 attains the bound: zeta1's coefficient of z21.
+    attained = mono(z={"z21": 1}, poles=(3, 1, 1))
+    assert penrose_transform(attained) == SpinorField((zero, base_poly({"x1_31": 1}), zero, zero))
+    past = mono(z={"z21": 1}, poles=(4, 1, 1))
+    assert penrose_transform(past).is_zero()
+    z0_case = mono(s0=1, poles=(2, 2, 1))
+    assert not penrose_transform(z0_case).is_zero()
+    sections = [attained, past, z0_case]
+    expected = [oracle_transform(section) for section in sections]
+    assert [spinor_to_oracle(penrose_transform(section)) for section in sections] == expected
+    assert [spinor_to_oracle(field) for field in penrose_transforms(sections)] == expected
+
+
+def test_unreachable_sections_skip_the_substitution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("substitute ran on a section with no reachable term")
+
+    monkeypatch.setattr(LaurentPoly, "substitute", refuse)
+    section = (
+        mono(z={"z21": 1}, poles=(4, 1, 1))
+        + mono(s0=2, poles=(-1, 3, 3), coeff=2)
+        + mono(s0=3, z={"z11": 2}, poles=(5, 5, 5))
+    )
+    assert penrose_transform(section) == SpinorField.zero()
+    assert penrose_transforms([section, section.scale(3)]) == [SpinorField.zero()] * 2
 
 
 def test_degree_homogeneity_of_images():
