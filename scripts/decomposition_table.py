@@ -4,18 +4,12 @@ Usage: python scripts/decomposition_table.py [--max-degree K]
 """
 
 import argparse
-from dataclasses import dataclass
 
 from monogenic.repn import decompose_Mk
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    max_degree: int = 6
-
-
-def run(config: TableConfig) -> None:
-    for k in range(config.max_degree + 1):
+def run(max_degree: int) -> None:
+    for k in range(max_degree + 1):
         rows = decompose_Mk(k)
         total = sum(desc.dimension for _, desc in rows)
         print(f"degree {k}: dim M_k = {total}")
@@ -32,7 +26,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-degree", type=int, default=6)
     args = parser.parse_args()
-    run(TableConfig(max_degree=args.max_degree))
+    run(args.max_degree)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ Usage: python scripts/transform_audit.py [--samples N] [--seed S]
 import argparse
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from monogenic.calibration import build_calibrated, find_calibration
@@ -23,39 +22,35 @@ from monogenic.dirac import is_monogenic
 from monogenic.transform import penrose_transform
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    samples: int = 200
-    seed: int = 20250808
-    max_z_degree: int = 4
-    max_pole: int = 4
+MAX_Z_DEGREE = 4
+MAX_POLE = 4
 
 
-def random_monomial(rng: random.Random, config: AuditConfig) -> CochainSection:
+def random_monomial(rng: random.Random) -> CochainSection:
     z = {}
-    for _ in range(rng.randint(0, config.max_z_degree)):
+    for _ in range(rng.randint(0, MAX_Z_DEGREE)):
         v = rng.choice(Z_VARS)
         z[v] = z.get(v, 0) + 1
     return CochainSection.monomial(
         s0=rng.randint(0, 2),
         z=z,
-        poles=tuple(rng.randint(-2, config.max_pole) for _ in range(3)),
+        poles=tuple(rng.randint(-2, MAX_POLE) for _ in range(3)),
         coeff=Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)),
     )
 
 
-def run(config: AuditConfig) -> bool:
+def run(samples: int, seed: int) -> bool:
     calibration, _ = find_calibration()
     op = build_calibrated(calibration)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     t0 = time.perf_counter()
     failures = 0
     certificates = {c: 0 for c in Certificate}
     certified_nonzero = 0
     inconclusive_nonzero = 0
     zero_images = 0
-    for _ in range(config.samples):
-        section = random_monomial(rng, config)
+    for _ in range(samples):
+        section = random_monomial(rng)
         image = penrose_transform(section)
         if image.is_zero():
             zero_images += 1
@@ -68,7 +63,7 @@ def run(config: AuditConfig) -> bool:
             certified_nonzero += 1
         if cert is Certificate.INCONCLUSIVE and not image.is_zero():
             inconclusive_nonzero += 1
-    print(f"samples: {config.samples} (seed {config.seed}), {time.perf_counter() - t0:.2f}s")
+    print(f"samples: {samples} (seed {seed}), {time.perf_counter() - t0:.2f}s")
     print(f"kernel failures: {failures}")
     print(f"zero transforms: {zero_images}")
     for cert, count in certificates.items():
@@ -83,7 +78,7 @@ def main() -> int:
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=20250808)
     args = parser.parse_args()
-    return 0 if run(AuditConfig(samples=args.samples, seed=args.seed)) else 1
+    return 0 if run(args.samples, args.seed) else 1
 
 
 if __name__ == "__main__":

@@ -107,13 +107,20 @@ def format_fraction(value: Fraction) -> str:
     return f"{number_text(value.numerator)}/{number_text(value.denominator)}"
 
 
-def write_config(config: CalibrationConfig, directory: Path | str = ".") -> Path:
-    path = Path(directory) / CONFIG_FILENAME
-    sign = "+1" if config.epsilon > 0 else "-1"
-    path.write_text(
-        f"epsilon = {sign}\nclifford_norm = {format_fraction(config.clifford_norm)}\n"
-    )
+def _write_text(path: Path, text: str) -> Path:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from None
     return path
+
+
+def write_config(config: CalibrationConfig, directory: Path | str = ".") -> Path:
+    sign = "+1" if config.epsilon > 0 else "-1"
+    return _write_text(
+        Path(directory) / CONFIG_FILENAME,
+        f"epsilon = {sign}\nclifford_norm = {format_fraction(config.clifford_norm)}\n",
+    )
 
 
 def read_config(directory: Path | str = ".") -> CalibrationConfig:
@@ -217,6 +224,4 @@ def third_item_discrepancy(op: DiracOperator) -> dict:
 
 
 def write_report(report: dict, directory: Path | str = ".") -> Path:
-    path = Path(directory) / REPORT_FILENAME
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    return path
+    return _write_text(Path(directory) / REPORT_FILENAME, json.dumps(report, indent=2) + "\n")

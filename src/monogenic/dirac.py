@@ -195,11 +195,13 @@ def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, in
 def graded_kernel_dim(op: DiracOperator, k: int) -> int:
     """Exact dimension of the space of degree-k spinors killed by both operators.
 
-    Counted one dominant weight block per Weyl orbit, behind an exact
-    equivariance certificate: see `weyl.orbit_kernel_dim`.
+    The operator commutes with the Weyl group S2 x S4 (an exact certificate
+    is checked first), so the weight blocks of one orbit have equal size and
+    rank: the nullity is the sum over dominant lambda of |W.lambda| * m_lambda
+    (`weyl.kernel_character`).
     """
     # Imported on first use: only a kernel count needs the Weyl group, and
     # every process that imports the package would otherwise compile it.
-    from .weyl import orbit_kernel_dim
+    from .weyl import _orbit_size, kernel_character
 
-    return orbit_kernel_dim(op, k)
+    return sum(_orbit_size(lam) * m for lam, m in kernel_character(op, k).items())

@@ -2,8 +2,8 @@
 
 A section is a highest weight vector when its class is nonzero and every
 positive simple raising (A12, E12, E23, E34) sends it to a class-zero section;
-class vanishing is decided through the transform, applied by linearity
-(`penrose_transforms`) to the section and its raisings at once.
+class vanishing is decided through the transform of the section and of each
+raising, each transformed whole.
 
 Completion: the weight of the sought vector pins a finite monomial candidate
 space (z0 degree at most l, pole orders determined by the row sums), and the
@@ -13,14 +13,13 @@ shared by many raisings reaches the residue only once.  The solution is
 unique only at the level of classes: the candidate space contains combinations
 whose class and whose raised classes all vanish.  That trivial subspace is
 one exact nullspace, of the reduced raising rows stacked over the image
-rows; the solver quotients by it and returns the canonical representative
-with zeros in its pivot coordinates, normalized so the designated leading
+rows.  Pinning the pivot coordinates of its RREF to zero leaves one more
+nullspace, of the reduced raising rows plus a unit row per pivot: the
+canonical representative of the class, normalized so the designated leading
 monomial z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .charts import TWISTOR, ZETA_VARS
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection, g0_action
@@ -34,16 +33,18 @@ from .laurent import (
     rref,
 )
 from .repn import leading_term
-from .transform import SpinorField, penrose_transforms
+from .transform import SpinorField, penrose_transform, penrose_transforms
 from .transform import spinor_coefficient_rows as _stacked_rows
 
 
 def hwv_test(section: CochainSection) -> bool:
     """Nonzero class annihilated (as a class) by all positive simple raisings."""
-    image, *raised = penrose_transforms(
-        [section] + [g0_action(root, section) for root in POSITIVE_SIMPLE_ROOTS]
+    # Each section is transformed whole: a raising moves every monomial's weight
+    # by its root, so a weight vector and its raisings share no monomial and a
+    # batch would only split their integrands.
+    return not penrose_transform(section).is_zero() and all(
+        penrose_transform(g0_action(root, section)).is_zero() for root in POSITIVE_SIMPLE_ROOTS
     )
-    return not image.is_zero() and all(r.is_zero() for r in raised)
 
 
 def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
@@ -103,32 +104,20 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
         + candidates
     )
     raised_images = [images[i * r:(i + 1) * r] for i in range(n)]
-    # The raising rows are eliminated once; both nullspaces start from their RREF.
+    # The raising rows are eliminated once; both solves start from their RREF.
     reduced_constraints, _ = rref(_stacked_rows(raised_images), n)
-    solutions = exact_nullspace(reduced_constraints, n_cols=n)
-    if not solutions:
-        raise InternalCheckError(f"no highest weight solution for label {label}")
-
     # Trivial subspace: combinations killed by both the raising and the image rows.
     image_rows = _stacked_rows([[image] for image in images[n * r:]])
     trivial = exact_nullspace(reduced_constraints + image_rows, n_cols=n)
-    if len(solutions) - len(trivial) != 1:
+    # The trivial subspace has a unit at each pivot of its RREF, so the raising
+    # solutions that vanish at those pivots hold one representative per class.
+    _, trivial_pivots = rref(trivial, n)
+    classes = exact_nullspace(reduced_constraints + [{p: 1} for p in trivial_pivots], n_cols=n)
+    if len(classes) != 1:
         raise InternalCheckError(
-            f"label {label}: solution space has class dimension "
-            f"{len(solutions) - len(trivial)}, expected 1"
+            f"label {label}: solution space has class dimension {len(classes)}, expected 1"
         )
-    reduced_trivial, trivial_pivots = rref(trivial, n)
-
-    def remainder(vector: list[Fraction]) -> list[Fraction]:
-        for row, pivot in zip(reduced_trivial, trivial_pivots):
-            factor = vector[pivot]
-            if factor:
-                vector = [v - factor * w for v, w in zip(vector, row)]
-        return vector
-
-    representative = next((r for r in map(remainder, solutions) if any(r)), None)
-    if representative is None:
-        raise InternalCheckError(f"label {label}: all solutions have zero class")
+    representative = classes[0]
 
     lead_exps, expected_top = leading_term(a, b, l)
     lead_coeff = representative[exponents.index(lead_exps)]

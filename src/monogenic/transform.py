@@ -117,17 +117,16 @@ def penrose_transforms(sections: Sequence[CochainSection]) -> list[SpinorField]:
     ]
 
 
-def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[list[Fraction]]:
-    """Exact coefficient matrix of a tuple of spinor fields per column.
+def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[dict[int, Fraction]]:
+    """Exact coefficient matrix of a tuple of spinor fields per column, as sparse rows.
 
-    Rows are the (slot, component, monomial) coordinates that occur, sorted.
+    One row {column: coefficient} per (slot, component, monomial) coordinate
+    that occurs, in order of first occurrence.
     """
-    coords: set[tuple[int, int, Exponents]] = set()
-    for fields in columns:
+    rows: dict[tuple[int, int, Exponents], dict[int, Fraction]] = {}
+    for col, fields in enumerate(columns):
         for slot, field in enumerate(fields):
             for m, p in enumerate(field.components):
-                coords.update((slot, m, e) for e in p.terms)
-    return [
-        [fields[slot].components[m].coefficient(e) for fields in columns]
-        for (slot, m, e) in sorted(coords)
-    ]
+                for e, c in p.terms.items():
+                    rows.setdefault((slot, m, e), {})[col] = c
+    return list(rows.values())

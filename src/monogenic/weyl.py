@@ -279,12 +279,3 @@ def kernel_character(op: DiracOperator, k: int) -> dict[tuple[int, ...], int]:
         for (lam, columns), rows in zip(blocks.items(), _block_rows(op, k, blocks.values()))
     }
 
-
-def orbit_kernel_dim(op: DiracOperator, k: int) -> int:
-    """Exact dimension of the space of degree-k spinors killed by both operators.
-
-    The operator commutes with the Weyl group S2 x S4, so the weight blocks
-    of one orbit have equal size and rank: the nullity is the sum over
-    dominant lambda of |W.lambda| * m_lambda (`kernel_character`).
-    """
-    return sum(_orbit_size(lam) * m for lam, m in kernel_character(op, k).items())

@@ -313,6 +313,15 @@ def test_unreadable_config_is_a_precondition_error(workdir, capsys, kind):
     assert out == ""
 
 
+@pytest.mark.parametrize("name", ["penrose-calibration.txt", "penrose-calibration-report.json"])
+def test_unwritable_calibration_file_is_a_precondition_error(workdir, capsys, name):
+    (workdir / name).mkdir()
+    code, out, err = run(capsys, "calibrate")
+    assert code == 3
+    assert out == ""
+    assert name in err and "Traceback" not in err
+
+
 # Strings over the expression grammar's tokens: well-formed sums of terms, the
 # same with one stray token spliced in, and token soup.  Each factor pool holds
 # one identifier of the other alphabet, one unknown name and one forbidden

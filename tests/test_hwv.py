@@ -1,18 +1,22 @@
 """Highest weight testing and completion."""
 
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from monogenic.calibration import CalibrationConfig, build_calibrated
 from monogenic.cli import TRANSFORM_SECTION_LIMIT
 from monogenic.cochain import CochainSection, weight_of_monomial
+from monogenic import hwv
 from monogenic.dirac import is_monogenic
 from monogenic.hwv import _complete_with_image, candidate_exponents, hwv_complete, hwv_test
-from monogenic.laurent import PreconditionError
+from monogenic.laurent import InternalCheckError, PreconditionError
 from monogenic.repn import label_of_hwv, module_descriptor
 from monogenic.charts import TWISTOR
-from monogenic.transform import penrose_transform
+from monogenic.transform import SpinorField, penrose_transform, penrose_transforms
 
 
 def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
@@ -192,10 +196,34 @@ def test_round_trip_degree_six_labels():
 
 def test_completion_image_is_the_transform_of_the_section():
     # The image summed from the candidate images, which `penrose hwv` prints,
-    # is the transform of the completed section itself.
-    for label in ALL_LABELS + labels_of_degree(5):
+    # is the transform of the completed section itself, and both print as in
+    # hwv_golden.json, which pins the representative of every label up to
+    # degree five.
+    golden = json.loads((Path(__file__).parent / "hwv_golden.json").read_text())
+    labels = ALL_LABELS + labels_of_degree(5)
+    assert sorted(golden) == sorted("%d,%d,%d" % label for label in labels)
+    for label in labels:
         section, image = _complete_with_image(label)
         assert image == penrose_transform(section), label
+        assert golden["%d,%d,%d" % label] == {
+            "section": section.body.to_string(),
+            "transform": [p.to_string() for p in image.components],
+        }, label
+
+
+@pytest.mark.parametrize("zeroed", ["all images", "raised images"])
+def test_completion_rejects_a_class_dimension_other_than_one(monkeypatch, zeroed):
+    # All images zero leave class dimension 0.  Zero raised images alone put
+    # every candidate in the raising kernel, and the candidate images of
+    # (0, 0, 1) span 7 dimensions, so the class dimension is 7.
+    def transforms(sections):
+        images = penrose_transforms(sections)
+        kept = 0 if zeroed == "all images" else len(sections) // 5
+        return [SpinorField.zero()] * (len(sections) - kept) + images[len(sections) - kept:]
+
+    monkeypatch.setattr(hwv, "penrose_transforms", transforms)
+    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1)")):
+        hwv_complete((0, 0, 1))
 
 
 def test_complete_rejects_negative_labels():
