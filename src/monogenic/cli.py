@@ -3,9 +3,9 @@
 Every subcommand prints a result document: command echo, canonical input
 form, structured outputs and the calibration constants in use.  `--format
 json` emits deterministic JSON (stable key order, terms in canonical order);
-the default is an aligned plain-text table.  Exit codes: 0 success, 2 parse
-error, 3 precondition violation (including a missing calibration file),
-4 internal assertion failure.
+the default is an aligned plain-text table.  Exit codes: 0 success, 1 stdout
+closed early (`penrose ... | head`), 2 parse error, 3 precondition violation
+(including a missing calibration file), 4 internal assertion failure.
 
 All commands except `calibrate` read `penrose-calibration.txt` from the
 working directory and refuse to run without it, keeping the one convention
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import calibration
@@ -44,14 +45,6 @@ def _calibration_fields(config: calibration.CalibrationConfig) -> dict:
     }
 
 
-def _document(command: str, inputs: dict, result: dict, config) -> dict:
-    doc = {"command": command, "input": inputs}
-    if config is not None:
-        doc["calibration"] = _calibration_fields(config)
-    doc["result"] = result
-    return doc
-
-
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, indent=2))
@@ -59,21 +52,20 @@ def _emit(doc: dict, fmt: str) -> None:
     print(f"command: {doc['command']}")
     for key, value in doc["input"].items():
         print(f"{key}: {value}")
-    if "calibration" in doc:
-        cal = doc["calibration"]
-        print(f"calibration: epsilon = {cal['epsilon']}, clifford_norm = {cal['clifford_norm']}")
+    cal = doc["calibration"]
+    print(f"calibration: epsilon = {cal['epsilon']}, clifford_norm = {cal['clifford_norm']}")
     _emit_table(doc["result"], indent="")
 
 
-def _flat_cell(value) -> str | None:
-    if isinstance(value, (str, int, bool)) or value is None:
-        return str(value)
-    if isinstance(value, list) and all(isinstance(v, (str, int)) for v in value):
+def _cell(value) -> str:
+    if isinstance(value, list):
         return "(" + ", ".join(str(v) for v in value) + ")"
-    return None
+    return str(value)
 
 
 def _emit_table(value, indent: str) -> None:
+    """A dict as `key: value` lines, a list of dicts with the same keys as an
+    aligned table, a list of scalars one item per line."""
     if isinstance(value, dict):
         for key, item in value.items():
             if isinstance(item, (dict, list)):
@@ -81,35 +73,14 @@ def _emit_table(value, indent: str) -> None:
                 _emit_table(item, indent + "  ")
             else:
                 print(f"{indent}{key}: {item}")
-    elif isinstance(value, list):
-        rows = [
-            {k: _flat_cell(v) for k, v in item.items()}
-            if isinstance(item, dict)
-            else None
-            for item in value
-        ]
-        if value and all(
-            row is not None and all(cell is not None for cell in row.values())
-            and list(row) == list(rows[0])
-            for row in rows
-        ):
-            headers = list(rows[0])
-            widths = {
-                h: max(len(h), *(len(row[h]) for row in rows)) for h in headers
-            }
-            print(indent + "  ".join(h.ljust(widths[h]) for h in headers).rstrip())
-            for row in rows:
-                print(indent + "  ".join(row[h].ljust(widths[h]) for h in headers).rstrip())
-            return
-        for n, item in enumerate(value):
-            if isinstance(item, (dict, list)):
-                if n:
-                    print(f"{indent}-")
-                _emit_table(item, indent)
-            else:
-                print(f"{indent}{item}")
+    elif value and isinstance(value[0], dict):
+        rows = [list(value[0])] + [[_cell(v) for v in item.values()] for item in value]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            print(indent + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     else:
-        print(f"{indent}{value}")
+        for item in value:
+            print(f"{indent}{item}")
 
 
 def _spinor_strings(field) -> list[str]:
@@ -117,7 +88,9 @@ def _spinor_strings(field) -> list[str]:
 
 
 # ------------------------------------------------------------------- commands
-def _cmd_transform(args, config) -> dict:
+# Each handler takes the parsed arguments and the calibration file's contents (None for
+# `calibrate`) and returns the canonical input echo, the result and the calibration in use.
+def _cmd_transform(args, config):
     section = parse_section(args.section)
     # TWISTOR slots: z0, then the six z_ij, then the zetas.
     degrees = [2 * e[0] + sum(e[1:7]) for e in section.body.terms]
@@ -131,15 +104,10 @@ def _cmd_transform(args, config) -> dict:
             f"{TRANSFORM_SECTION_LIMIT}"
         )
     image = penrose_transform(section)
-    return _document(
-        "transform",
-        {"section": section.body.to_string()},
-        {"spinor": _spinor_strings(image)},
-        config,
-    )
+    return {"section": section.body.to_string()}, {"spinor": _spinor_strings(image)}, config
 
 
-def _cmd_weight(args, config) -> dict:
+def _cmd_weight(args, config):
     section = parse_section(args.section)
     rows = []
     for exps, coeff in section.body.sorted_terms():
@@ -155,117 +123,83 @@ def _cmd_weight(args, config) -> dict:
                 "gl4": list(weight.gl4),
             }
         )
-    return _document(
-        "weight", {"section": section.body.to_string()}, {"weights": rows}, config
-    )
+    return {"section": section.body.to_string()}, {"weights": rows}, config
 
 
-def _cmd_act(args, config) -> dict:
+def _cmd_act(args, config):
     if args.root not in ROOT_NAMES:
         raise PreconditionError(f"unknown root {args.root!r}; choose from {ROOT_NAMES}")
     section = parse_section(args.section)
-    result = g0_action(args.root, section)
-    return _document(
-        "act",
-        {"root": args.root, "section": section.body.to_string()},
-        {"section": result.body.to_string()},
-        config,
-    )
+    image = g0_action(args.root, section).body.to_string()
+    return {"root": args.root, "section": section.body.to_string()}, {"section": image}, config
 
 
-def _cmd_check_monogenic(args, config) -> dict:
+def _cmd_check_monogenic(args, config):
     spinor = parse_spinor(args.spinor)
-    op = calibration.build_calibrated(config)
-    first, second = apply_2dirac(op, spinor)
-    monogenic = all(p.is_zero() for p in first + second)
-    result = {"monogenic": monogenic}
-    if not monogenic:
+    first, second = apply_2dirac(calibration.build_calibrated(config), spinor)
+    result = {"monogenic": all(p.is_zero() for p in first + second)}
+    if not result["monogenic"]:
         result["residual_1"] = [p.to_string() for p in first]
         result["residual_2"] = [p.to_string() for p in second]
-    return _document(
-        "check-monogenic",
-        {"spinor": [p.to_string() for p in spinor.components]},
-        result,
-        config,
-    )
+    return {"spinor": _spinor_strings(spinor)}, result, config
 
 
-def _cmd_kernel_dim(args, config) -> dict:
+def _cmd_kernel_dim(args, config):
     if not 0 <= args.degree <= KERNEL_DEGREE_LIMIT:
         raise PreconditionError(f"degree must lie in 0..{KERNEL_DEGREE_LIMIT}, the kernel-dim limit")
-    op = calibration.build_calibrated(config)
-    dim = graded_kernel_dim(op, args.degree)
-    return _document(
-        "kernel-dim", {"degree": args.degree}, {"dimension": dim}, config
-    )
+    dim = graded_kernel_dim(calibration.build_calibrated(config), args.degree)
+    return {"degree": args.degree}, {"dimension": dim}, config
 
 
-def _cmd_decompose(args, config) -> dict:
+def _cmd_decompose(args, config):
     if args.degree > DECOMPOSE_DEGREE_LIMIT:
         raise PreconditionError(f"degree is over the decompose limit {DECOMPOSE_DEGREE_LIMIT}")
-    rows = []
-    total = 0
-    for label, descriptor in decompose_Mk(args.degree):
-        total += descriptor.dimension
-        rows.append(
-            {
-                "a": label.a,
-                "b": label.b,
-                "l": label.l,
-                "gl2_weight": [calibration.format_fraction(w) for w in descriptor.gl2_weight],
-                "sl4_weight": list(descriptor.sl4_weight),
-                "dimension": descriptor.dimension,
-            }
-        )
-    return _document(
-        "decompose",
-        {"degree": args.degree},
-        {"summands": rows, "total_dimension": total},
-        config,
-    )
+    rows = [
+        {
+            "a": label.a, "b": label.b, "l": label.l,
+            "gl2_weight": [calibration.format_fraction(w) for w in descriptor.gl2_weight],
+            "sl4_weight": list(descriptor.sl4_weight),
+            "dimension": descriptor.dimension,
+        }
+        for label, descriptor in decompose_Mk(args.degree)
+    ]
+    total = sum(row["dimension"] for row in rows)
+    return {"degree": args.degree}, {"summands": rows, "total_dimension": total}, config
 
 
-def _cmd_hwv(args, config) -> dict:
+def _cmd_hwv(args, config):
     if 2 * args.a + args.b + 2 * args.l > HWV_DEGREE_LIMIT:
         raise PreconditionError(f"label degree 2a + b + 2l is over the hwv limit {HWV_DEGREE_LIMIT}")
     section, image = _complete_with_image((args.a, args.b, args.l))
-    return _document(
-        "hwv",
-        {"a": args.a, "b": args.b, "l": args.l},
-        {"section": section.body.to_string(), "transform": _spinor_strings(image)},
-        config,
-    )
+    result = {"section": section.body.to_string(), "transform": _spinor_strings(image)}
+    return {"a": args.a, "b": args.b, "l": args.l}, result, config
 
 
-def _cmd_calibrate(args, _config) -> dict:
+def _cmd_calibrate(args, _config):
     config, attempts = calibration.find_calibration()
-    op = calibration.build_calibrated(config)
-    report = calibration.third_item_discrepancy(op)
-    config_path = calibration.write_config(config)
-    report_path = calibration.write_report(report)
-    return _document(
-        "calibrate",
-        {},
-        {
-            "attempts": attempts,
-            "chosen": _calibration_fields(config),
-            "config_file": str(config_path),
-            "report_file": str(report_path),
-            "third_item_report": report,
-        },
-        config,
-    )
+    report = calibration.third_item_discrepancy(calibration.build_calibrated(config))
+    config_file = calibration.write_config(config)  # first: it stays written if the report fails
+    report_file = calibration.write_report(report)
+    result = {
+        "attempts": attempts,
+        "chosen": _calibration_fields(config),
+        "config_file": str(config_file),
+        "report_file": str(report_file),
+        "third_item_report": report,
+    }
+    return {}, result, config
 
 
+# name -> (handler, {required option: type}); every command also takes --format.
 _COMMANDS = {
-    "transform": _cmd_transform,
-    "weight": _cmd_weight,
-    "act": _cmd_act,
-    "check-monogenic": _cmd_check_monogenic,
-    "kernel-dim": _cmd_kernel_dim,
-    "decompose": _cmd_decompose,
-    "hwv": _cmd_hwv,
-    "calibrate": _cmd_calibrate,
+    "transform": (_cmd_transform, {"--section": str}),
+    "weight": (_cmd_weight, {"--section": str}),
+    "act": (_cmd_act, {"--root": str, "--section": str}),
+    "check-monogenic": (_cmd_check_monogenic, {"--spinor": str}),
+    "kernel-dim": (_cmd_kernel_dim, {"--degree": int}),
+    "decompose": (_cmd_decompose, {"--degree": int}),
+    "hwv": (_cmd_hwv, {"--a": int, "--b": int, "--l": int}),
+    "calibrate": (_cmd_calibrate, {}),
 }
 
 
@@ -275,34 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact twistor-transform engine for monogenic spinors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **arguments):
-        p = sub.add_parser(name)
-        for arg, options in arguments.items():
-            p.add_argument(arg, **options)
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        return p
-
-    add("transform", **{"--section": {"required": True}})
-    add("weight", **{"--section": {"required": True}})
-    add("act", **{"--root": {"required": True}, "--section": {"required": True}})
-    add("check-monogenic", **{"--spinor": {"required": True}})
-    add("kernel-dim", **{"--degree": {"required": True, "type": int}})
-    add("decompose", **{"--degree": {"required": True, "type": int}})
-    add("hwv", **{"--a": {"required": True, "type": int}, "--b": {"required": True, "type": int}, "--l": {"required": True, "type": int}})
-    add("calibrate")
+    for name, (_, options) in _COMMANDS.items():
+        command = sub.add_parser(name)
+        for option, kind in options.items():
+            command.add_argument(option, required=True, type=kind)
+        command.add_argument("--format", choices=("table", "json"), default="table")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     try:
-        if args.command == "calibrate":
-            config = None
-        else:
-            config = calibration.read_config()
-        doc = handler(args, config)
+        config = None if args.command == "calibrate" else calibration.read_config()
+        inputs, result, config = _COMMANDS[args.command][0](args, config)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -312,7 +231,17 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
-    _emit(doc, args.format)
+    doc = {"command": args.command, "input": inputs,
+           "calibration": _calibration_fields(config), "result": result}
+    try:
+        _emit(doc, args.format)
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`penrose ... | head`).  Point it at devnull
+        # so the flush at interpreter exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

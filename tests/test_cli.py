@@ -431,6 +431,39 @@ def test_console_script_entry_point(workdir):
     assert (workdir / "penrose-calibration.txt").exists()
 
 
+def test_closed_stdout_exits_quietly(workdir):
+    # `penrose decompose --degree 200 | head -1`: 0.34 MB of table, far past a
+    # pipe's buffer, so the write after the reader closes the pipe fails.
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "monogenic.cli", "decompose", "--degree", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=workdir,
+        env=child_env(),
+    )
+    assert child.stdout.readline() == b"command: decompose\n"
+    child.stdout.close()
+    code = child.wait(timeout=60)
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert stderr == ""  # no BrokenPipeError traceback
+    assert code == 1
+
+
+def test_stdout_closed_at_start_exits_cleanly(workdir):
+    # With fd 1 closed the interpreter sets sys.stdout to None and print() does nothing.
+    write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
+    result = subprocess.run(
+        ["sh", "-c", '"$0" -m monogenic.cli kernel-dim --degree 1 >&-', sys.executable],
+        capture_output=True,
+        text=True,
+        cwd=workdir,
+        env=child_env(),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 @pytest.mark.parametrize(
     "script, args, verdicts",
     [

@@ -1,6 +1,8 @@
 """The residue transform: worked examples against an independent oracle,
 linearity, grading, vanishing and injectivity."""
 
+import functools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -50,28 +52,17 @@ def _add(*polys):
     out = {}
     for p in polys:
         for k, v in p.items():
-            out[k] = out.get(k, Fraction(0)) + v
-            if not out[k]:
-                del out[k]
-    return out
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 def _mul(a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            k = tuple(i + j for i, j in zip(e1, e2))
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-            if not out[k]:
-                del out[k]
-    return out
-
-
-def _power(p, n):
-    out = _mono(1)
-    for _ in range(n):
-        out = _mul(out, p)
-    return out
+            k = tuple(map(operator.add, e1, e2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
 
 
 ORACLE_BINDINGS = {
@@ -98,31 +89,36 @@ ORACLE_BINDINGS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _binding_power(name, e):
+    # Shared between calls: callers only read the result.
+    return _mono(1) if e == 0 else _mul(_binding_power(name, e - 1), ORACLE_BINDINGS[name])
+
+
+# Component m is the residue of the substituted section times (1, zeta1, zeta2,
+# zeta3)[m], that is its coefficient of zeta^((-1,-1,-1) - e_m).
+_RESIDUE_POLES = {(-1, -1, -1): 0, (-2, -1, -1): 1, (-1, -2, -1): 2, (-1, -1, -2): 3}
+_ZETA_SLOTS = [_IDX[n] for n in ("zeta1", "zeta2", "zeta3")]
+
+
 def oracle_transform(section: CochainSection) -> list[dict]:
-    substituted = {}
+    images = []
     for exps, coeff in section.body.terms.items():
         term = _mono(coeff)
         for name, e in zip(TWISTOR.names, exps):
-            if e == 0:
-                continue
             if e > 0:
-                term = _mul(term, _power(ORACLE_BINDINGS[name], e))
-            else:
+                term = _mul(term, _binding_power(name, e))
+            elif e < 0:
                 term = _mul(term, _mono(1, **{name: e}))
-        substituted = _add(substituted, term)
-    weights = [_mono(1), _mono(1, zeta1=1), _mono(1, zeta2=1), _mono(1, zeta3=1)]
-    zi = [_IDX[n] for n in ("zeta1", "zeta2", "zeta3")]
-    components = []
-    for w in weights:
-        integrand = _mul(substituted, w)
-        comp = {}
-        for exps, coeff in integrand.items():
-            if all(exps[i] == -1 for i in zi):
-                key = list(exps)
-                for i in zi:
-                    key[i] = 0
-                comp[tuple(key)] = comp.get(tuple(key), Fraction(0)) + coeff
-        components.append({k: v for k, v in comp.items() if v})
+        images.append(term)
+    components = [{} for _ in _RESIDUE_POLES]
+    for exps, coeff in _add(*images).items():
+        m = _RESIDUE_POLES.get(tuple(exps[i] for i in _ZETA_SLOTS))
+        if m is not None:
+            key = list(exps)
+            for i in _ZETA_SLOTS:
+                key[i] = 0
+            components[m][tuple(key)] = coeff
     return components
 
 
