@@ -5,7 +5,9 @@ transform and checks exact monogenicity of every image; also counts how often
 the syntactic triviality certificates fire and how they relate to actual
 class vanishing.  A TrivialNegativePole or an Inconclusive certificate
 implies a zero image (an Inconclusive monomial is past the transform's reach
-bound), so a nonzero image under either fails the audit.
+bound), so a nonzero image under either fails the audit.  Each nonzero image
+is also raised both ways, by the spinor-side action and by transforming the
+raised section, and any difference fails the audit.
 
 Usage: python scripts/transform_audit.py [--samples N] [--seed S]
 """
@@ -17,9 +19,15 @@ from fractions import Fraction
 
 from monogenic.calibration import build_calibrated, find_calibration
 from monogenic.charts import Z_VARS
-from monogenic.cochain import Certificate, CochainSection, triviality_certificate
+from monogenic.cochain import (
+    POSITIVE_SIMPLE_ROOTS,
+    Certificate,
+    CochainSection,
+    g0_action,
+    triviality_certificate,
+)
 from monogenic.dirac import is_monogenic
-from monogenic.transform import penrose_transform
+from monogenic.transform import penrose_transform, spinor_action
 
 
 MAX_Z_DEGREE = 4
@@ -49,11 +57,17 @@ def run(samples: int, seed: int) -> bool:
     certified_nonzero = 0
     inconclusive_nonzero = 0
     zero_images = 0
+    mismatches = 0
     for _ in range(samples):
         section = random_monomial(rng)
         image = penrose_transform(section)
         if image.is_zero():
             zero_images += 1
+        else:
+            for root in POSITIVE_SIMPLE_ROOTS:
+                if spinor_action(root, image) != penrose_transform(g0_action(root, section)):
+                    mismatches += 1
+                    print(f"NOT EQUIVARIANT under {root}:", section.body.to_string())
         if not is_monogenic(op, image):
             failures += 1
             print("NOT MONOGENIC:", section.body.to_string())
@@ -70,7 +84,8 @@ def run(samples: int, seed: int) -> bool:
         print(f"certificate {cert.value}: {count}")
     print(f"negative-pole certificates with nonzero image (must be 0): {certified_nonzero}")
     print(f"inconclusive certificates with nonzero image (must be 0): {inconclusive_nonzero}")
-    return failures == 0 and certified_nonzero == 0 and inconclusive_nonzero == 0
+    print(f"equivariance mismatches (must be 0): {mismatches}")
+    return failures == 0 and certified_nonzero == 0 and inconclusive_nonzero == 0 and mismatches == 0
 
 
 def main() -> int:

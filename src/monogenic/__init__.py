@@ -2,7 +2,7 @@
 
 from .laurent import AlphabetMismatch, InternalCheckError, LaurentPoly, PreconditionError
 from .cochain import CochainSection
-from .transform import SpinorField, penrose_transform, penrose_transforms
+from .transform import SpinorField, penrose_transform
 from .dirac import DiracOperator, build_dirac, graded_kernel_dim, is_monogenic
 from .hwv import hwv_complete, hwv_test
 from .repn import IrrepLabel, label_of_hwv

@@ -2,14 +2,16 @@
 
 A section is a highest weight vector when its class is nonzero and every
 positive simple raising (A12, E12, E23, E34) sends it to a class-zero section;
-class vanishing is decided through the transform of the section and of each
-raising, each transformed whole.
+class vanishing is decided through the transform.  The transform carries each
+raising of a section to the first-order operator rho(E) on its image
+(`transform.spinor_action`, certified once), so only the section is
+transformed and the raisings act on its image.
 
 Completion: the weight of the sought vector pins a finite monomial candidate
 space (z0 degree at most l, pole orders determined by the row sums), and the
-raising conditions become an exact linear system over it.  The raised
-candidates and the candidates are transformed in one batch, so a monomial
-shared by many raisings reaches the residue only once.  The solution is
+raising conditions become an exact linear system over it.  Each candidate, a
+distinct monomial, is transformed once, and its raising rows are read off
+rho(E) applied to its image.  The solution is
 unique only at the level of classes: the candidate space contains combinations
 whose class and whose raised classes all vanish.  That trivial subspace is
 one exact nullspace, of the reduced raising rows stacked over the image
@@ -22,7 +24,7 @@ monomial z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 from __future__ import annotations
 
 from .charts import TWISTOR, ZETA_VARS
-from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection, g0_action
+from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection
 from .dirac import _compositions
 from .laurent import (
     Exponents,
@@ -33,17 +35,15 @@ from .laurent import (
     rref,
 )
 from .repn import leading_term
-from .transform import SpinorField, penrose_transform, penrose_transforms
+from .transform import SpinorField, penrose_transform, spinor_action
 from .transform import spinor_coefficient_rows as _stacked_rows
 
 
 def hwv_test(section: CochainSection) -> bool:
     """Nonzero class annihilated (as a class) by all positive simple raisings."""
-    # Each section is transformed whole: a raising moves every monomial's weight
-    # by its root, so a weight vector and its raisings share no monomial and a
-    # batch would only split their integrands.
-    return not penrose_transform(section).is_zero() and all(
-        penrose_transform(g0_action(root, section)).is_zero() for root in POSITIVE_SIMPLE_ROOTS
+    image = penrose_transform(section)
+    return not image.is_zero() and all(
+        spinor_action(root, image).is_zero() for root in POSITIVE_SIMPLE_ROOTS
     )
 
 
@@ -97,17 +97,13 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
     exponents = candidate_exponents(a, b, l)
     candidates = [CochainSection.from_terms({e: 1}) for e in exponents]
 
-    n, r = len(candidates), len(POSITIVE_SIMPLE_ROOTS)
-    # One batch by linearity: the raisings share most of their monomials.
-    images = penrose_transforms(
-        [g0_action(root, cand) for cand in candidates for root in POSITIVE_SIMPLE_ROOTS]
-        + candidates
-    )
-    raised_images = [images[i * r:(i + 1) * r] for i in range(n)]
+    n = len(candidates)
+    images = [penrose_transform(cand) for cand in candidates]
+    raised_images = [[spinor_action(root, image) for root in POSITIVE_SIMPLE_ROOTS] for image in images]
     # The raising rows are eliminated once; both solves start from their RREF.
     reduced_constraints, _ = rref(_stacked_rows(raised_images), n)
     # Trivial subspace: combinations killed by both the raising and the image rows.
-    image_rows = _stacked_rows([[image] for image in images[n * r:]])
+    image_rows = _stacked_rows([[image] for image in images])
     trivial = exact_nullspace(reduced_constraints + image_rows, n_cols=n)
     # The trivial subspace has a unit at each pivot of its RREF, so the raising
     # solutions that vanish at those pivots hold one representative per class.
@@ -133,7 +129,5 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
         raise InternalCheckError(f"label {label}: z0 degree is not {l}")
     if body.coefficient_of(("z0",), (l,)) != expected_top:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
-    image = SpinorField.combination(
-        (c, field) for c, field in zip(representative, images[n * r:]) if c
-    )
+    image = SpinorField.combination((c, field) for c, field in zip(representative, images) if c)
     return section, image

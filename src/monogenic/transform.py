@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .charts import BASE, CORRESPONDENCE, TWISTOR, ZETA_VARS, correspondence_substitution
-from .cochain import CochainSection
-from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar
+from .charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
+from .cochain import POSITIVE_SIMPLE_ROOTS, _SPINOR_SLOTS, _SPINOR_TABLES, _TABLES, _TWISTS
+from .cochain import CochainSection, apply_derivation
+from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
 
 _ZETA_SLOTS = tuple(TWISTOR.index[name] for name in ZETA_VARS)
 
@@ -98,25 +99,6 @@ def penrose_transform(section: CochainSection) -> SpinorField:
     return SpinorField(tuple(components))
 
 
-def penrose_transforms(sections: Sequence[CochainSection]) -> list[SpinorField]:
-    """The transforms of many sections by linearity: one residue per distinct monomial.
-
-    A monomial that fails `_reaches_residue` has the zero image, with no
-    substitution; every other distinct one is transformed once.
-    """
-    images: dict[Exponents, SpinorField] = {}
-    for section in sections:
-        for exps in section.body.terms:
-            if exps not in images and _reaches_residue(exps):
-                images[exps] = penrose_transform(CochainSection.from_terms({exps: 1}))
-    return [
-        SpinorField.combination(
-            (c, images[exps]) for exps, c in section.body.terms.items() if exps in images
-        )
-        for section in sections
-    ]
-
-
 def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[dict[int, Fraction]]:
     """Exact coefficient matrix of a tuple of spinor fields per column, as sparse rows.
 
@@ -130,3 +112,47 @@ def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[dict[i
                 for e, c in p.terms.items():
                     rows.setdefault((slot, m, e), {})[col] = c
     return list(rows.values())
+
+
+@lru_cache(maxsize=None)
+def _certify_transform_equivariance() -> None:
+    """Certify, exactly and once, that T(E.s) = rho(E) T(s) for every section s.
+
+    With phi the incidence substitution, D_E the derivation of `_TABLES`, t_E
+    its twist, V_E = sum_k phi(D_E zeta_k) d/dzeta_k and w = (1, zeta1, zeta2,
+    zeta3), raises InternalCheckError unless for every positive simple root E
+    (a) phi(D_E z) = rho_vf(E) phi(z) + V_E phi(z) for z0 and the six z_ij, and
+    (b) t_E w_m - div(V_E) w_m - V_E(w_m) = sum_nu M_m,nu w_nu, M its slot entry.
+    By (a) and the chain rule, phi(E.s) = (rho_vf(E) + V_E + t_E) phi(s).
+    rho_vf(E) acts on x only, so it commutes with the residue.  A zeta-derivative
+    has no zeta1^-1 zeta2^-1 zeta3^-1 term, so by parts the residue of
+    V_E(phi(s)) w_m is that of -phi(s) (div(V_E) w_m + V_E(w_m)), and (b) gives
+    T(E.s)_m = rho_vf(E) T(s)_m + sum_nu M_m,nu T(s)_nu.
+    """
+    phi, weights, zero = correspondence_substitution(), _weight_vector(), LaurentPoly.zero(CORRESPONDENCE)
+    for root in POSITIVE_SIMPLE_ROOTS:
+        table = {name: value.substitute(phi, CORRESPONDENCE) for name, value in _TABLES[root].items()}
+        fibre = {name: value for name, value in table.items() if name in ZETA_VARS}  # V_E
+        rho = {name: value.project(CORRESPONDENCE) for name, value in _SPINOR_TABLES[root].items()}
+        for z in ("z0",) + Z_VARS:  # rho_vf(E) + V_E, on disjoint variables
+            if table.get(z, zero) != apply_derivation(rho | fibre, phi[z]):
+                raise InternalCheckError(f"{root}: rho does not match the action on {z}")
+        twist = _TWISTS[root].substitute(phi, CORRESPONDENCE) if root in _TWISTS else zero
+        divergence = LaurentPoly.sum(CORRESPONDENCE, (v.derivative(k) for k, v in fibre.items()))
+        slot = _SPINOR_SLOTS.get(root)
+        for m, w in enumerate(weights):
+            residual = (twist - divergence) * w - apply_derivation(fibre, w)
+            if residual != (weights[slot[1]] if slot and slot[0] == m else zero):
+                raise InternalCheckError(f"{root}: the residue term of component {m} is not its slot entry")
+
+
+def spinor_action(root: str, field: SpinorField) -> SpinorField:
+    """rho(E) for a positive simple root E: spinor_action(E, T(s)) = T(g0_action(E, s)), certified once."""
+    if root not in _SPINOR_TABLES:
+        raise PreconditionError(f"no spinor-side action for the root {root!r}")
+    _certify_transform_equivariance()
+    components = [apply_derivation(_SPINOR_TABLES[root], p) for p in field.components]
+    if root in _SPINOR_SLOTS:
+        m, nu = _SPINOR_SLOTS[root]
+        components[m] = components[m] + field.components[nu]
+    return SpinorField(tuple(components))

@@ -41,7 +41,7 @@ from monogenic.dirac import graded_kernel_dim, is_monogenic
 from monogenic.hwv import hwv_complete, hwv_test
 from monogenic.laurent import LaurentPoly
 from monogenic.repn import decompose_Mk, label_of_hwv
-from monogenic.transform import penrose_transform
+from monogenic.transform import penrose_transform, spinor_action
 
 from chart_geometry import frame_gram, twistor_frame
 from cochain_oracle import (
@@ -249,6 +249,8 @@ def test_c08_hwv_uniqueness_and_round_trip():
         print("  note: the reference section fails the E12 class condition"
               " (see penrose-calibration-report.json and the repository notes);"
               " its quadratic coefficients are 5x the unique solution's")
+        raised = spinor_action("E12", penrose_transform(reference))
+        print("  spinor side: rho(E12) T(reference) is " + ("zero" if raised.is_zero() else "nonzero"))
     assert computed == reference, (
         "hwv_complete((0,0,1)) does not reproduce the reference section term-for-term: "
         "that section is not an E12-highest class under the stated action table"

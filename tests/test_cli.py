@@ -471,7 +471,11 @@ def test_stdout_closed_at_start_exits_cleanly(workdir):
         (
             "transform_audit.py",
             ["--samples", "20"],
-            ["kernel failures: 0", "inconclusive certificates with nonzero image (must be 0): 0"],
+            [
+                "kernel failures: 0",
+                "inconclusive certificates with nonzero image (must be 0): 0",
+                "equivariance mismatches (must be 0): 0",
+            ],
         ),
     ],
     ids=["kernel", "transform"],

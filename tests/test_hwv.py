@@ -16,7 +16,7 @@ from monogenic.hwv import _complete_with_image, candidate_exponents, hwv_complet
 from monogenic.laurent import InternalCheckError, PreconditionError
 from monogenic.repn import label_of_hwv, module_descriptor
 from monogenic.charts import TWISTOR
-from monogenic.transform import SpinorField, penrose_transform, penrose_transforms
+from monogenic.transform import SpinorField, penrose_transform
 
 
 def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
@@ -216,13 +216,10 @@ def test_completion_rejects_a_class_dimension_other_than_one(monkeypatch, zeroed
     # All images zero leave class dimension 0.  Zero raised images alone put
     # every candidate in the raising kernel, and the candidate images of
     # (0, 0, 1) span 7 dimensions, so the class dimension is 7.
-    def transforms(sections):
-        images = penrose_transforms(sections)
-        kept = 0 if zeroed == "all images" else len(sections) // 5
-        return [SpinorField.zero()] * (len(sections) - kept) + images[len(sections) - kept:]
-
-    monkeypatch.setattr(hwv, "penrose_transforms", transforms)
-    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1)")):
+    name = "penrose_transform" if zeroed == "all images" else "spinor_action"
+    monkeypatch.setattr(hwv, name, lambda *args: SpinorField.zero())
+    expected = "(0, 0, 1): solution space has class dimension " + ("0" if zeroed == "all images" else "7")
+    with pytest.raises(InternalCheckError, match=re.escape(expected)):
         hwv_complete((0, 0, 1))
 
 

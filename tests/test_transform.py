@@ -1,22 +1,33 @@
 """The residue transform: worked examples against an independent oracle,
-linearity, grading, vanishing and injectivity."""
+linearity, grading, vanishing, injectivity and the spinor-side raisings."""
 
 import functools
 import operator
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from monogenic import cochain
 from monogenic.charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
-from monogenic.cochain import Certificate, CochainSection, triviality_certificate
-from monogenic.laurent import LaurentPoly, exact_nullspace
+from monogenic.cochain import (
+    POSITIVE_SIMPLE_ROOTS,
+    Certificate,
+    CochainSection,
+    g0_action,
+    triviality_certificate,
+)
+from monogenic.laurent import InternalCheckError, LaurentPoly, PreconditionError, exact_nullspace
 from monogenic.transform import (
     SpinorField,
+    _certify_transform_equivariance,
     penrose_transform,
-    penrose_transforms,
+    spinor_action,
     spinor_coefficient_rows,
 )
 
@@ -25,7 +36,7 @@ from graded_algebra import weighted_degree
 
 def transform_is_injective_on(sections):
     # True iff no nonzero rational combination of the sections has zero image.
-    rows = spinor_coefficient_rows([[image] for image in penrose_transforms(sections)])
+    rows = spinor_coefficient_rows([[penrose_transform(section)] for section in sections])
     return not exact_nullspace(rows, n_cols=len(sections))
 
 
@@ -243,7 +254,7 @@ def test_linearity():
 
 def test_bindings_carry_no_zeta_poles():
     # With test_every_binding_term_is_affine_in_zeta (test_charts.py), this
-    # certifies the reach rule both transform entry points share: the zetas
+    # certifies the reach rule of the transform: the zetas
     # pass through unbound and no binding has a negative zeta exponent, so the
     # bindings of z0^s0 z^Z multiply to zeta exponents >= 0 summing to at most
     # s0 + |Z|, and a monomial zeta^-r needing more than that has zero image.
@@ -254,29 +265,77 @@ def test_bindings_carry_no_zeta_poles():
         assert all(exps[i] >= 0 for exps in value.terms for i in slots)
 
 
-# Pole orders down to -1, so many monomials carry a zeta exponent >= 0.
-monomial_exponents = st.builds(
-    lambda s0, z, poles: mono(s0=s0, z=z, poles=poles).body.sole_term()[0],
-    st.integers(0, 2),
-    st.dictionaries(st.sampled_from(Z_VARS), st.integers(1, 2), max_size=2),
-    st.tuples(*[st.integers(-1, 3)] * 3),
-)
-# Sections drawn over one small pool of monomials, so they share terms.
-shared_sections = st.lists(monomial_exponents, min_size=1, max_size=6, unique=True).flatmap(
-    lambda pool: st.lists(
-        st.dictionaries(st.sampled_from(pool), st.integers(-3, 3), max_size=len(pool)).map(
-            CochainSection.from_terms
-        ),
-        min_size=1,
-        max_size=4,
+# Sections of two to four terms z0^s0 z^Z zeta^-r with pole orders 1..4.
+raising_sections = st.dictionaries(
+    st.builds(
+        lambda s0, z, poles: mono(s0=s0, z=dict(Counter(z)), poles=poles).body.sole_term()[0],
+        st.integers(0, 2),
+        st.lists(st.sampled_from(Z_VARS), max_size=3),
+        st.tuples(*[st.integers(1, 4)] * 3),
+    ),
+    st.integers(-3, 3).filter(bool),
+    min_size=2,
+    max_size=4,
+).map(CochainSection.from_terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(raising_sections)
+def test_spinor_action_intertwines_the_transform(section):
+    # The section-side action, transformed, is the oracle for rho.
+    image = penrose_transform(section)
+    for root in POSITIVE_SIMPLE_ROOTS:
+        assert spinor_action(root, image) == penrose_transform(g0_action(root, section)), root
+
+
+def test_spinor_action_on_a_worked_image():
+    # T(z21 / zeta1 zeta2 zeta3) = (x2_21, 0, 0, 0); E23 raises z21 to z11 and
+    # rho(E23) sends x2_21 to x2_11.  rho(E12) differentiates no x2 variable
+    # and adds component 1, which is zero, so it kills the image.
+    image = penrose_transform(mono(z={"z21": 1}, poles=(1, 1, 1)))
+    assert image == SpinorField((base_poly({"x2_21": 1}),) + (LaurentPoly.zero(BASE),) * 3)
+    assert spinor_action("E23", image) == penrose_transform(mono(z={"z11": 1}, poles=(1, 1, 1)))
+    assert spinor_action("E12", image).is_zero()
+
+
+@pytest.mark.parametrize("root", ["E21", "A21", "E13"])
+def test_spinor_action_rejects_other_roots(root):
+    with pytest.raises(PreconditionError):
+        spinor_action(root, SpinorField.zero())
+
+
+def test_equivariance_certificate_holds():
+    _certify_transform_equivariance.__wrapped__()
+
+
+def _flip_one_sign(monkeypatch):
+    field = dict(cochain._SPINOR_TABLES["E23"])
+    field["x1_11"] = -field["x1_11"]
+    monkeypatch.setitem(cochain._SPINOR_TABLES, "E23", field)
+
+
+@pytest.mark.parametrize("mutant", [
+    _flip_one_sign,
+    lambda monkeypatch: monkeypatch.delitem(cochain._SPINOR_SLOTS, "E12"),
+    lambda monkeypatch: monkeypatch.setitem(cochain._TWISTS, "E12", cochain._TWISTS["E12"].scale(Fraction(4, 5))),
+], ids=["flipped vector-field sign", "dropped slot entry", "E12 twist 4"])
+def test_equivariance_certificate_rejects_mutants(monkeypatch, mutant):
+    mutant(monkeypatch)
+    with pytest.raises(InternalCheckError):
+        _certify_transform_equivariance.__wrapped__()
+
+
+def test_equivariance_certificate_runs_lazily_and_once():
+    script = (
+        "import monogenic.hwv; from monogenic.transform import _certify_transform_equivariance as c, "
+        "spinor_action, SpinorField; before = c.cache_info().misses; "
+        "spinor_action('A12', SpinorField.zero()); spinor_action('E12', SpinorField.zero()); "
+        "print(before, c.cache_info().misses, c.cache_info().hits)"
     )
-)
+    from test_cli import child_env
 
-
-@settings(max_examples=60, deadline=None)
-@given(shared_sections)
-def test_batched_transforms_equal_single_transforms(sections):
-    assert penrose_transforms(sections) == [penrose_transform(s) for s in sections]
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    assert result.stdout.split() == ["0", "1", "1"], result.stderr
 
 
 @st.composite
@@ -325,7 +384,6 @@ def test_reach_rule_boundary_cases():
     sections = [attained, past, z0_case]
     expected = [oracle_transform(section) for section in sections]
     assert [spinor_to_oracle(penrose_transform(section)) for section in sections] == expected
-    assert [spinor_to_oracle(field) for field in penrose_transforms(sections)] == expected
 
 
 def test_unreachable_sections_skip_the_substitution(monkeypatch):
@@ -339,7 +397,6 @@ def test_unreachable_sections_skip_the_substitution(monkeypatch):
         + mono(s0=3, z={"z11": 2}, poles=(5, 5, 5))
     )
     assert penrose_transform(section) == SpinorField.zero()
-    assert penrose_transforms([section, section.scale(3)]) == [SpinorField.zero()] * 2
 
 
 def test_degree_homogeneity_of_images():
