@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .charts import BASE, TWISTOR
 from .cochain import CochainSection
 from .dirac import DiracOperator, build_dirac, is_monogenic
-from .hwv import _complete_with_image, hwv_test
-from .laurent import InternalCheckError, LaurentPoly, PreconditionError, number_text
+from .hwv import _complete_with_image, _is_hwv_image
+from .laurent import InternalCheckError, LaurentPoly, PreconditionError, Record, number_text
 from .transform import SpinorField, penrose_transform
 
 CONFIG_FILENAME = "penrose-calibration.txt"
@@ -38,10 +37,8 @@ REPORT_FILENAME = "penrose-calibration-report.json"
 _VALUES = {"epsilon": re.compile(r"[+-]?1"), "clifford_norm": re.compile(r"[+-]?[0-9]+(/[0-9]+)?")}
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
-    epsilon: int
-    clifford_norm: Fraction
+class CalibrationConfig(Record):
+    __slots__ = ("epsilon", "clifford_norm")  # +1 or -1, a nonzero Fraction
 
 
 def _mono(powers: dict[str, int], coeff=1) -> LaurentPoly:
@@ -216,7 +213,7 @@ def third_item_discrepancy(op: DiracOperator) -> dict:
         "sections_match": companion == completed,
         "companion_transform_vs_reference": companion_rows,
         "completed_transform_vs_reference": completed_rows,
-        "companion_section_is_highest_weight": hwv_test(companion),
+        "companion_section_is_highest_weight": _is_hwv_image(companion_image),
         "reference_is_monogenic": is_monogenic(op, reference),
         "companion_transform_is_monogenic": is_monogenic(op, companion_image),
         "completed_transform_is_monogenic": is_monogenic(op, completed_image),

@@ -25,24 +25,22 @@ the positive simple roots on transforms (`transform.spinor_action`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .charts import BASE, TWISTOR, Z_VARS, ZETA_VARS
-from .laurent import LaurentPoly, PreconditionError, Scalar
+from .laurent import LaurentPoly, PreconditionError, Record, Scalar
 
 POSITIVE_SIMPLE_ROOTS = ("A12", "E12", "E23", "E34")
 ROOT_NAMES = ("A12", "E12", "E21", "E23", "E32", "E34", "E43")
 
 
-@dataclass(frozen=True)
-class CochainSection:
+class CochainSection(Record):
     """A rational section on the four-fold chart intersection (trivialized on W0)."""
 
-    body: LaurentPoly
+    __slots__ = ("body",)  # a LaurentPoly over TWISTOR
 
-    def __post_init__(self):
+    def _check(self):
         if self.body.alphabet != TWISTOR:
             raise PreconditionError("cochain sections live over the twistor chart alphabet")
 
@@ -99,12 +97,10 @@ class CochainSection:
         return s0, z, poles, coeff
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """A gl(2) (+) gl(4)-style weight; the gl(4) part matters modulo (1,1,1,1)."""
 
-    gl2: tuple[Fraction, Fraction]
-    gl4: tuple[int, int, int, int]
+    __slots__ = ("gl2", "gl4")  # two Fractions, four ints
 
     def gl4_normalized(self) -> tuple[int, int, int, int]:
         last = self.gl4[3]

@@ -26,7 +26,6 @@ group, which is how `graded_kernel_dim` counts (weyl.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -34,7 +33,7 @@ from operator import add
 from typing import Iterator
 
 from .charts import BASE, LAMBDA2_BASIS
-from .laurent import Exponents, LaurentPoly, PreconditionError, Scalar, accumulate
+from .laurent import Exponents, LaurentPoly, PreconditionError, Record, Scalar, accumulate
 from .transform import SpinorField
 
 DIRECTIONS = ("e3", "e4", "e5", "eb3", "eb4", "eb5")
@@ -96,8 +95,7 @@ def central_bracket(v: tuple[int, int, int], u: tuple[int, int, int]) -> int:
     )
 
 
-@dataclass(frozen=True)
-class DiracOperator:
+class DiracOperator(Record):
     """The two coupled operators as one integer stencil plan.
 
     Component j sums clifford @ (d/dvar + correction * d/dx12) over the six
@@ -109,10 +107,7 @@ class DiracOperator:
     output rows at a time (`weyl._block_rows`).
     """
 
-    epsilon: int
-    clifford_norm: Fraction
-    plan: tuple[tuple[tuple, ...], ...]
-    scale: int
+    __slots__ = ("epsilon", "clifford_norm", "plan", "scale")
 
 
 def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:

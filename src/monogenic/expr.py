@@ -37,16 +37,16 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, pos: int, end: int) -> list[tuple[str, str, int]]:
+    """The tokens of text[pos:end], each with its position in the whole `text`."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
+    while pos < end:
+        match = _TOKEN.match(text, pos, end)
         if not match:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:end].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+            raise ParseError(f"unexpected character {stripped[0]!r}", end - len(stripped))
         if match.lastgroup == "int":
             tokens.append(("int", match.group("int"), match.start("int")))
         elif match.lastgroup == "ident":
@@ -54,7 +54,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         else:
             tokens.append(("op", match.group("op"), match.start("op")))
         pos = match.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end", "", end))
     return tokens
 
 
@@ -66,10 +66,9 @@ def _int_value(token: tuple[str, str, int]) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
+    def __init__(self, text: str, alphabet: Alphabet, start: int, end: int):
         self.alphabet = alphabet
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, start, end)
         self.cursor = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -153,7 +152,7 @@ class _Parser:
 
 
 def parse_expr(text: str, alphabet: Alphabet) -> LaurentPoly:
-    return _Parser(text, alphabet).parse()
+    return _Parser(text, alphabet, 0, len(text)).parse()
 
 
 def parse_section(text: str) -> CochainSection:
@@ -164,4 +163,8 @@ def parse_spinor(text: str) -> SpinorField:
     parts = text.split(";")
     if len(parts) != 4:
         raise ParseError("a spinor needs exactly 4 ';'-separated components", 0)
-    return SpinorField(tuple(parse_expr(part, BASE) for part in parts))
+    components, start = [], 0
+    for part in parts:
+        components.append(_Parser(text, BASE, start, start + len(part)).parse())
+        start += len(part) + 1
+    return SpinorField(tuple(components))

@@ -41,7 +41,11 @@ from .transform import spinor_coefficient_rows as _stacked_rows
 
 def hwv_test(section: CochainSection) -> bool:
     """Nonzero class annihilated (as a class) by all positive simple raisings."""
-    image = penrose_transform(section)
+    return _is_hwv_image(penrose_transform(section))
+
+
+def _is_hwv_image(image: SpinorField) -> bool:
+    """`hwv_test` of a section, read off its transform `image`."""
     return not image.is_zero() and all(
         spinor_action(root, image).is_zero() for root in POSITIVE_SIMPLE_ROOTS
     )

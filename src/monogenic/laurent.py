@@ -40,6 +40,49 @@ Exponents = tuple  # tuple[int, ...], one entry per alphabet variable
 Scalar = int | Fraction
 
 
+class Record:
+    """An immutable value whose fields, named by ``__slots__``, are given by position or keyword.
+
+    Equality (within one class) and hash are those of the field tuple, the repr is
+    ``Name(field=value, ...)``, and subclasses validate their fields in ``_check``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or set(values) != set(names):
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign or delete field {name!r} of an immutable record")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 class Alphabet:
     """An ordered, fixed set of variable names with an invertibility mask."""
 

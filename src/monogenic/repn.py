@@ -9,23 +9,19 @@ cross-validate the nullspace route through the operator matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cochain import CochainSection, Weight, weight_of_monomial
-from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
+from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record, Scalar
 from .charts import TWISTOR, ZETA_VARS
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
+class IrrepLabel(Record):
     """A summand label; the weighted degree of the summand is 2a + b + 2l."""
 
-    a: int
-    b: int
-    l: int
+    __slots__ = ("a", "b", "l")
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.a, self.b, self.l) < 0:
             raise PreconditionError("label entries must be non-negative")
 
@@ -34,11 +30,8 @@ class IrrepLabel:
         return 2 * self.a + self.b + 2 * self.l
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
-    gl2_weight: tuple[Fraction, Fraction]
-    sl4_weight: tuple[int, int, int, int]
-    dimension: int
+class ModuleDescriptor(Record):
+    __slots__ = ("gl2_weight", "sl4_weight", "dimension")  # two Fractions, four ints, an int
 
 
 def dim_gl2(weight: tuple[Scalar, Scalar]) -> int:

@@ -13,25 +13,23 @@ deg(x12) = 2 and deg(x1_ij) = deg(x2_ij) = 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
 from .cochain import POSITIVE_SIMPLE_ROOTS, _SPINOR_SLOTS, _SPINOR_TABLES, _TABLES, _TWISTS
 from .cochain import CochainSection, apply_derivation
-from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
+from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record, Scalar
 
 _ZETA_SLOTS = tuple(TWISTOR.index[name] for name in ZETA_VARS)
 
 
-@dataclass(frozen=True)
-class SpinorField:
+class SpinorField(Record):
     """A 4-tuple of polynomials on the base cell (a spinor-bundle section)."""
 
-    components: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
+    __slots__ = ("components",)  # four LaurentPolys over BASE
 
-    def __post_init__(self):
+    def _check(self):
         for p in self.components:
             if p.alphabet != BASE:
                 raise PreconditionError("spinor components live over the base alphabet")

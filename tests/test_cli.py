@@ -237,6 +237,10 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "transform", "--section", "zeta1^-1 + q")
     assert code == 2
     assert "unknown identifier" in err
+    # A spinor position counts from the start of the whole --spinor text.
+    code, _, err = run(capsys, "check-monogenic", "--spinor", "x12;x12;0;foo")
+    assert code == 2
+    assert "unknown identifier 'foo' (at position 10)" in err
 
 
 @pytest.mark.parametrize(
@@ -523,6 +527,8 @@ def test_traced_layers_resolve_after_importing_the_package():
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     assert "monogenic.weyl" not in loaded and "monogenic.cli" not in loaded
+    # The engine's records need neither module; importing them costs every command start-up.
+    assert "dataclasses" not in loaded and "inspect" not in loaded
     for _, module_name, attribute, _ in tracing.LAYERS:
         target = importlib.import_module(module_name)
         for part in attribute.split("."):

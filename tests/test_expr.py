@@ -99,3 +99,19 @@ def test_parse_spinor_needs_four_components():
     field = parse_spinor("1;0;0;x2_11")
     assert field.components[0] == LaurentPoly.constant(BASE, 1)
     assert field.components[3] == LaurentPoly.variable(BASE, "x2_11")
+
+
+@pytest.mark.parametrize(
+    "text, position, problem",
+    [
+        ("x12;x12;0;foo", 10, "unknown identifier 'foo'"),
+        ("x12;x12;0;x12 x12", 14, "expected '+' or '-', found 'x12'"),
+        ("x12;x12+;0;0", 8, "expected a term, found 'end of input'"),
+        ("0;0;x12 $;0", 8, "unexpected character '$'"),
+    ],
+)
+def test_spinor_parse_errors_count_from_the_start_of_the_text(text, position, problem):
+    with pytest.raises(ParseError) as err:
+        parse_spinor(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{problem} (at position {position})"

@@ -1,18 +1,25 @@
-"""Exact polynomial substrate: ring axioms, substitution, extraction, derivatives."""
+"""Exact polynomial substrate: ring axioms, substitution, extraction, derivatives, records."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monogenic.charts import BASE
+from monogenic.calibration import CalibrationConfig
+from monogenic.charts import BASE, TWISTOR
+from monogenic.cochain import CochainSection, Weight
+from monogenic.dirac import DiracOperator
 from monogenic.laurent import (
     Alphabet,
     AlphabetMismatch,
     LaurentPoly,
     PreconditionError,
 )
+from monogenic.repn import IrrepLabel, ModuleDescriptor
+from monogenic.transform import SpinorField
 
 AB = Alphabet(("x", "y"))
 ZETAS = Alphabet(("zeta1", "zeta2", "zeta3"), negatives=("zeta1", "zeta2", "zeta3"))
@@ -289,3 +296,60 @@ def test_results_are_canonical(p, q, e):
     ]
     for result in results:
         assert_canonical(result)
+
+
+_HALF7 = (Fraction(7, 2), Fraction(7, 2))
+_BASE0 = LaurentPoly.zero(BASE)
+# (class, field values, repr as the frozen dataclasses printed it, values `_check` refuses, its error)
+RECORDS = [
+    (IrrepLabel, (1, 2, 1), "IrrepLabel(a=1, b=2, l=1)",
+     (0, -1, 0), "label entries must be non-negative"),
+    (ModuleDescriptor, (_HALF7, (1, 0, 0, 0), 4),
+     "ModuleDescriptor(gl2_weight=(Fraction(7, 2), Fraction(7, 2)), sl4_weight=(1, 0, 0, 0), "
+     "dimension=4)", None, None),
+    (Weight, (_HALF7, (2, 1, 1, 1)), "Weight(gl2=(Fraction(7, 2), Fraction(7, 2)), gl4=(2, 1, 1, 1))",
+     None, None),
+    (CochainSection, (LaurentPoly.monomial(TWISTOR, {"z0": 1, "zeta1": -1, "zeta2": -1, "zeta3": -1}),),
+     "CochainSection(body=LaurentPoly(z0 * zeta1^-1 * zeta2^-1 * zeta3^-1))",
+     (_BASE0,), "cochain sections live over the twistor chart alphabet"),
+    (SpinorField, ((_BASE0,) * 4,),
+     "SpinorField(components=(LaurentPoly(0), LaurentPoly(0), LaurentPoly(0), LaurentPoly(0)))",
+     ((LaurentPoly.zero(TWISTOR),) * 4,), "spinor components live over the base alphabet"),
+    (DiracOperator, (1, Fraction(1), ((),), 2),
+     "DiracOperator(epsilon=1, clifford_norm=Fraction(1, 1), plan=((),), scale=2)", None, None),
+    (CalibrationConfig, (-1, Fraction(1, 2)), "CalibrationConfig(epsilon=-1, clifford_norm=Fraction(1, 2))",
+     None, None),
+]
+
+
+@pytest.mark.parametrize("cls, values, text, bad, problem", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, values, text, bad, problem):
+    names = cls.__slots__
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in names) == values
+    assert record == cls(**dict(zip(names, values))) == cls(values[0], **dict(zip(names[1:], values[1:])))
+    assert repr(record) == text
+    for args, kwargs in [(values[:-1], {}), (values + (0,), {}), (values, {names[0]: values[0]}),
+                         (values[:-1], {"other": values[-1]})]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    # Equal only to a record of the same class: not to its field tuple, nor to another record.
+    assert record != values and record.__eq__(values) is NotImplemented
+    with pytest.raises(TypeError):
+        iter(record)
+    for other_cls, other_values, *_ in RECORDS:
+        assert (record == other_cls(*other_values)) == (other_cls is cls)
+    if cls in (CochainSection, SpinorField):  # their LaurentPoly fields are unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(values)
+    for mutate in (lambda: setattr(record, names[0], values[0]), lambda: delattr(record, names[0]),
+                   lambda: setattr(record, "other", 0)):
+        with pytest.raises(AttributeError):
+            mutate()
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record and repr(clone) == text
+    if bad is not None:
+        with pytest.raises(PreconditionError, match=problem):
+            cls(*bad)
