@@ -1,0 +1,98 @@
+"""Replay the recorded mutants: each one must make its named tests fail.
+
+A mutant replaces one exact text in one file.  For each mutant the script
+copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
+applies the mutant there and runs the named tests with `-x`.  A `conftest.py`
+written into the copy's `tests/` (never into the checkout) loads a Hypothesis
+profile without the shrink phase or an example database, so a property that
+catches the mutant fails within seconds and no earlier run decides the result.
+The named tests must first pass on an unmutated copy.  Each mutant then
+prints `killed` or `survived`; the last line is `total: ok` only when every
+mutant is killed.
+
+Usage: python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_HWV = "src/monogenic/hwv.py"
+_REVERSED_RREF = "rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)"
+_PINNED = "pinned = set(range(n)).difference(n - 1 - p for p in pivots)"
+
+# (name, file, exact old text, new text, tests that must fail)
+MUTANTS = [
+    ("hwv: pin the reversed pivots themselves", _HWV, _PINNED,
+     "pinned = {n - 1 - p for p in pivots}", ["tests/test_hwv.py"]),
+    ("hwv: drop the n - 1 - un-reversal", _HWV, _PINNED,
+     "pinned = set(range(n)).difference(pivots)", ["tests/test_hwv.py"]),
+    ("hwv: skip reversing the rows", _HWV, _REVERSED_RREF,
+     "rref(image_rows, n)", ["tests/test_hwv.py"]),
+    ("hwv: pin the forward free columns", _HWV, f"{_REVERSED_RREF}\n    {_PINNED}",
+     "rref(image_rows, n)\n    pinned = set(range(n)).difference(pivots)", ["tests/test_hwv.py"]),
+    ("transform: reach rule degree + 0", "src/monogenic/transform.py",
+     "sum(r - 1 for r in poles) <= degree + 1", "sum(r - 1 for r in poles) <= degree + 0",
+     ["tests/test_transform.py::test_reach_rule_keeps_every_nonzero_image",
+      "tests/test_transform.py::test_reach_rule_boundary_cases"]),
+    ("transform: no SpinorField component count check", "src/monogenic/transform.py",
+     "        if type(self.components) is not tuple or len(self.components) != 4:\n"
+     '            raise PreconditionError("a spinor field is a tuple of exactly four components")\n',
+     "", ["tests/test_laurent.py::test_spinor_field_is_a_tuple_of_four_components"]),
+]
+
+CONFTEST = """from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate), database=None)
+settings.load_profile("mutants")
+"""
+
+
+def run_tests(tests: list[str], mutant: tuple[str, str, str] | None = None) -> int:
+    """The pytest exit code of `tests` in a fresh copy, with `mutant` (file, old, new) applied."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        (copy / "tests" / "conftest.py").write_text(CONFTEST)
+        if mutant:
+            file, old, new = mutant
+            text = (copy / file).read_text()
+            if text.count(old) != 1:
+                raise SystemExit(f"{file}: the mutant's old text occurs {text.count(old)} times, not once")
+            (copy / file).write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main() -> int:
+    start = time.perf_counter()
+    # A mutant counts as killed only if the same tests pass without it.
+    named = sorted({test for *_, tests in MUTANTS for test in tests})
+    if run_tests(named):
+        print("baseline: the named tests fail on the unmutated copy")
+        return 1
+    all_killed = True
+    for name, file, old, new, tests in MUTANTS:
+        t0 = time.perf_counter()
+        code = run_tests(tests, (file, old, new))
+        verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        all_killed &= code == 1
+        print(f"{name}: {verdict}  ({time.perf_counter() - t0:.1f}s)", flush=True)
+    print(f"total: {'ok' if all_killed else 'SURVIVORS'}  ({time.perf_counter() - start:.1f}s)")
+    return 0 if all_killed else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

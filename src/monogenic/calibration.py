@@ -23,11 +23,11 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .charts import BASE, TWISTOR
 from .cochain import CochainSection
 from .dirac import DiracOperator, build_dirac, is_monogenic
+from .expr import parse_section, parse_spinor
 from .hwv import _complete_with_image, _is_hwv_image
-from .laurent import InternalCheckError, LaurentPoly, PreconditionError, Record, number_text
+from .laurent import InternalCheckError, PreconditionError, Record, number_text
 from .transform import SpinorField, penrose_transform
 
 CONFIG_FILENAME = "penrose-calibration.txt"
@@ -41,30 +41,17 @@ class CalibrationConfig(Record):
     __slots__ = ("epsilon", "clifford_norm")  # +1 or -1, a nonzero Fraction
 
 
-def _mono(powers: dict[str, int], coeff=1) -> LaurentPoly:
-    return LaurentPoly.monomial(BASE, powers, coeff)
-
-
 def reference_monogenic_spinors() -> tuple[SpinorField, SpinorField, SpinorField]:
     """The three known quadratic monogenic spinors used for calibration."""
-    zero = LaurentPoly.zero(BASE)
-    first = SpinorField((_mono({"x2_11": 2}), zero, zero, zero))
-    det2 = _mono({"x2_11": 1, "x2_22": 1}) - _mono({"x2_21": 1, "x2_12": 1})
-    second = SpinorField((det2, zero, zero, zero))
-    bilinear = LaurentPoly.sum(BASE, (
-        _mono({f"x1_{i}1": 1, f"x2_{i}2": 1}, Fraction(1, 2))
-        - _mono({f"x2_{i}1": 1, f"x1_{i}2": 1}, Fraction(1, 2))
-        for i in (1, 2, 3)
-    ))
-    third = SpinorField(
-        (
-            _mono({"x12": 1}, 3) + bilinear,
-            _mono({"x2_21": 1, "x2_32": 1}) - _mono({"x2_31": 1, "x2_22": 1}),
-            _mono({"x2_31": 1, "x2_12": 1}) - _mono({"x2_11": 1, "x2_32": 1}),
-            det2,
-        )
+    det2 = "x2_11 * x2_22 - x2_12 * x2_21"
+    bilinear = ("1/2 * x1_11 * x2_12 - 1/2 * x1_12 * x2_11 + 1/2 * x1_21 * x2_22"
+                " - 1/2 * x1_22 * x2_21 + 1/2 * x1_31 * x2_32 - 1/2 * x1_32 * x2_31")
+    return (
+        parse_spinor("x2_11^2;0;0;0"),
+        parse_spinor(f"{det2};0;0;0"),
+        parse_spinor(f"{bilinear} + 3 * x12;x2_21 * x2_32 - x2_22 * x2_31;"
+                     f"-x2_11 * x2_32 + x2_12 * x2_31;{det2}"),
     )
-    return first, second, third
 
 
 def find_calibration() -> tuple[CalibrationConfig, list[dict]]:
@@ -159,19 +146,14 @@ def read_config(directory: Path | str = ".") -> CalibrationConfig:
     return CalibrationConfig(epsilon=-1 if values["epsilon"] == "-1" else 1, clifford_norm=norm)
 
 
-def companion_third_section():
-    """The four-term section bundled with the third reference spinor."""
-    terms = [CochainSection.monomial(s0=1, poles=(1, 1, 1))]
-    for z, poles, sign in (
-        ({"z22": 1, "z31": 1}, (2, 1, 1), -1),
-        ({"z21": 1, "z32": 1}, (2, 1, 1), 1),
-        ({"z11": 1, "z32": 1}, (1, 2, 1), -1),
-        ({"z12": 1, "z31": 1}, (1, 2, 1), 1),
-        ({"z12": 1, "z21": 1}, (1, 1, 2), -1),
-        ({"z11": 1, "z22": 1}, (1, 1, 2), 1),
-    ):
-        terms.append(CochainSection.monomial(z=z, poles=poles, coeff=sign))
-    return CochainSection(LaurentPoly.sum(TWISTOR, (t.body for t in terms)))
+def companion_third_section() -> CochainSection:
+    """The seven-term section bundled with the third reference spinor."""
+    return parse_section(
+        "z0 * zeta1^-1 * zeta2^-1 * zeta3^-1 + z11 * z22 * zeta1^-1 * zeta2^-1 * zeta3^-2"
+        " - z11 * z32 * zeta1^-1 * zeta2^-2 * zeta3^-1 - z12 * z21 * zeta1^-1 * zeta2^-1 * zeta3^-2"
+        " + z12 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-1 + z21 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-1"
+        " - z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-1"
+    )
 
 
 def _compare(lhs: SpinorField, rhs: SpinorField) -> list[dict]:

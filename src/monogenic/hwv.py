@@ -13,12 +13,14 @@ raising conditions become an exact linear system over it.  Each candidate, a
 distinct monomial, is transformed once, and its raising rows are read off
 rho(E) applied to its image.  The solution is
 unique only at the level of classes: the candidate space contains combinations
-whose class and whose raised classes all vanish.  That trivial subspace is
-one exact nullspace, of the reduced raising rows stacked over the image
-rows.  Pinning the pivot coordinates of its RREF to zero leaves one more
-nullspace, of the reduced raising rows plus a unit row per pivot: the
-canonical representative of the class, normalized so the designated leading
-monomial z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
+whose image vanishes, and with it every raised image (rho(E) is linear).
+Candidate c leads such a combination exactly when its image lies in the span
+of the later candidates' images, that is when column c is not a pivot of the
+image rows read with their columns reversed.  Each class holds exactly one
+raising solution that vanishes at these pinned candidates, so one nullspace,
+of the raising rows plus a unit row per pinned candidate, gives the canonical
+representative, normalized so the designated leading monomial
+z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 """
 
 from __future__ import annotations
@@ -104,15 +106,12 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
     n = len(candidates)
     images = [penrose_transform(cand) for cand in candidates]
     raised_images = [[spinor_action(root, image) for root in POSITIVE_SIMPLE_ROOTS] for image in images]
-    # The raising rows are eliminated once; both solves start from their RREF.
-    reduced_constraints, _ = rref(_stacked_rows(raised_images), n)
-    # Trivial subspace: combinations killed by both the raising and the image rows.
+    # Candidate c is pinned when the later candidates' images span its own: column
+    # n-1-c is then no pivot of the image rows with their columns reversed.
     image_rows = _stacked_rows([[image] for image in images])
-    trivial = exact_nullspace(reduced_constraints + image_rows, n_cols=n)
-    # The trivial subspace has a unit at each pivot of its RREF, so the raising
-    # solutions that vanish at those pivots hold one representative per class.
-    _, trivial_pivots = rref(trivial, n)
-    classes = exact_nullspace(reduced_constraints + [{p: 1} for p in trivial_pivots], n_cols=n)
+    _, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)
+    pinned = set(range(n)).difference(n - 1 - p for p in pivots)
+    classes = exact_nullspace(_stacked_rows(raised_images) + [{c: 1} for c in pinned], n_cols=n)
     if len(classes) != 1:
         raise InternalCheckError(
             f"label {label}: solution space has class dimension {len(classes)}, expected 1"

@@ -30,8 +30,10 @@ class SpinorField(Record):
     __slots__ = ("components",)  # four LaurentPolys over BASE
 
     def _check(self):
+        if type(self.components) is not tuple or len(self.components) != 4:
+            raise PreconditionError("a spinor field is a tuple of exactly four components")
         for p in self.components:
-            if p.alphabet != BASE:
+            if not isinstance(p, LaurentPoly) or p.alphabet != BASE:
                 raise PreconditionError("spinor components live over the base alphabet")
 
     @classmethod

@@ -172,6 +172,17 @@ def test_round_trip_all_labels_up_to_degree_four():
         assert_round_trip(*label)
 
 
+# hwv_complete and its image, as `penrose hwv` prints them, for every label up to degree six.
+GOLDEN = json.loads((Path(__file__).parent / "hwv_golden.json").read_text())
+
+
+def assert_golden(label, section, image):
+    assert GOLDEN["%d,%d,%d" % label] == {
+        "section": section.body.to_string(),
+        "transform": [p.to_string() for p in image.components],
+    }, label
+
+
 def assert_round_trip_monogenic(k):
     op = build_calibrated(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)))
     for label in labels_of_degree(k):
@@ -181,6 +192,7 @@ def assert_round_trip_monogenic(k):
         assert weight <= TRANSFORM_SECTION_LIMIT, label
         image = penrose_transform(section)
         assert not image.is_zero() and is_monogenic(op, image), label
+        assert_golden(label, section, image)
 
 
 def test_round_trip_degree_five_labels():
@@ -197,18 +209,14 @@ def test_round_trip_degree_six_labels():
 def test_completion_image_is_the_transform_of_the_section():
     # The image summed from the candidate images, which `penrose hwv` prints,
     # is the transform of the completed section itself, and both print as in
-    # hwv_golden.json, which pins the representative of every label up to
-    # degree five.
-    golden = json.loads((Path(__file__).parent / "hwv_golden.json").read_text())
+    # hwv_golden.json up to degree five (the slow degree-six round trip
+    # compares the rest).
     labels = ALL_LABELS + labels_of_degree(5)
-    assert sorted(golden) == sorted("%d,%d,%d" % label for label in labels)
+    assert sorted(GOLDEN) == sorted("%d,%d,%d" % label for label in labels + labels_of_degree(6))
     for label in labels:
         section, image = _complete_with_image(label)
         assert image == penrose_transform(section), label
-        assert golden["%d,%d,%d" % label] == {
-            "section": section.body.to_string(),
-            "transform": [p.to_string() for p in image.components],
-        }, label
+        assert_golden(label, section, image)
 
 
 @pytest.mark.parametrize("zeroed", ["all images", "raised images"])

@@ -353,3 +353,9 @@ def test_records_are_immutable_values(cls, values, text, bad, problem):
     if bad is not None:
         with pytest.raises(PreconditionError, match=problem):
             cls(*bad)
+
+
+@pytest.mark.parametrize("components", [(_BASE0,), (_BASE0,) * 5, [_BASE0] * 4], ids=["one", "five", "list"])
+def test_spinor_field_is_a_tuple_of_four_components(components):
+    with pytest.raises(PreconditionError, match="exactly four components"):
+        SpinorField(components)

@@ -208,3 +208,22 @@ def test_rref_and_nullspace_match_the_gauss_jordan_oracle(data):
     assert rref(rows, n_cols) == rref(sparse, n_cols) == (reduced, pivots)
     assert exact_nullspace(rows, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
     assert exact_nullspace(sparse, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    n_cols = draw(st.integers(1, 10))
+    row = st.dictionaries(st.integers(0, n_cols - 1), st.integers(-3, 3), max_size=n_cols)
+    return draw(st.lists(row, max_size=8)), n_cols
+
+
+@given(sparse_integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_pivots_are_the_columns_the_later_columns_span(data):
+    # The RREF pivots of the nullspace are its vectors' leading columns: the
+    # columns in the span of the later ones, i.e. the non-pivots of the matrix
+    # with its columns reversed (the rule that pins hwv candidates).
+    rows, n_cols = data
+    _, reversed_pivots = rref([{n_cols - 1 - c: v for c, v in row.items()} for row in rows], n_cols)
+    spanned = sorted(set(range(n_cols)).difference(n_cols - 1 - p for p in reversed_pivots))
+    assert spanned == rref(exact_nullspace(rows, n_cols), n_cols)[1]
