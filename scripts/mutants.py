@@ -24,6 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _HWV = "src/monogenic/hwv.py"
+_EXPR = "src/monogenic/expr.py"
+_ERROR_TABLE = ["tests/test_expr.py::test_parse_errors_give_their_message_and_position"]
 _REVERSED_RREF = "rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)"
 _PINNED = "pinned = set(range(n)).difference(n - 1 - p for p in pivots)"
 
@@ -45,6 +47,39 @@ MUTANTS = [
      "        if type(self.components) is not tuple or len(self.components) != 4:\n"
      '            raise PreconditionError("a spinor field is a tuple of exactly four components")\n',
      "", ["tests/test_laurent.py::test_spinor_field_is_a_tuple_of_four_components"]),
+    ("expr: no negative-exponent check", _EXPR,
+     "            if exponent < 0 and name not in alphabet.negatives:\n"
+     '                raise ParseError(f"negative exponent on {name!r}, which is not invertible", pos)\n',
+     "", _ERROR_TABLE),
+    ("expr: accept a zero denominator", _EXPR,
+     "                if not denominator:\n"
+     '                    raise ParseError("zero denominator", token[2])\n',
+     "", _ERROR_TABLE),
+    ("expr: unknown identifier at the next token", _EXPR,
+     'raise ParseError(f"unknown identifier {name!r}", pos)',
+     'raise ParseError(f"unknown identifier {name!r}", tokens[cursor][2])', _ERROR_TABLE),
+    ("laurent: accumulate keeps zero sums", "src/monogenic/laurent.py",
+     "        if s:\n            out[key] = s\n        else:\n            out.pop(key, None)\n",
+     "        out[key] = s\n",
+     ["tests/test_laurent.py::test_public_construction_is_canonical",
+      "tests/test_expr.py::test_like_terms_merge"]),
+    ("dirac: apply_2dirac drops / op.scale", "src/monogenic/dirac.py",
+     "c = coeff / op.scale", "c = coeff",
+     ["tests/test_dirac.py::test_apply_2dirac_is_the_stencil_operator"]),
+    ("dirac: flipped kappa sign", "src/monogenic/dirac.py",
+     "return (jv - ju) * wedge_pair_sign(", "return (ju - jv) * wedge_pair_sign(",
+     ["tests/test_dirac.py::test_closed_form_bracket_is_the_commutator_bracket"]),
+    ("weyl: _block_rows packs in base k", "src/monogenic/weyl.py",
+     "radix = [8 * (k + 1) ** t", "radix = [8 * k ** t",
+     ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
+    ("weyl: no Weyl certificate call", "src/monogenic/weyl.py",
+     "    _certify_weyl_symmetry(op)\n", "",
+     ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]),
+    ("cli: table columns joined by one space", "src/monogenic/cli.py",
+     'print(indent + "  ".join(', 'print(indent + " ".join(', ["tests/test_cli_golden.py"]),
+    ("cli: no __main__ guard", "src/monogenic/cli.py",
+     '\n\nif __name__ == "__main__":\n    raise SystemExit(main())\n', "\n",
+     ["tests/test_cli.py::test_console_script_entry_point"]),
 ]
 
 CONFTEST = """from hypothesis import Phase, settings

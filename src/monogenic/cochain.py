@@ -75,9 +75,6 @@ class CochainSection(Record):
     def __sub__(self, other: "CochainSection") -> "CochainSection":
         return CochainSection(self.body - other.body)
 
-    def __neg__(self) -> "CochainSection":
-        return CochainSection(-self.body)
-
     def scale(self, scalar: Scalar) -> "CochainSection":
         return CochainSection(self.body.scale(scalar))
 

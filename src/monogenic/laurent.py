@@ -146,31 +146,6 @@ def number_text(value: Scalar) -> str:
         raise PreconditionError(f"cannot print a number of more than {limit} digits") from None
 
 
-def format_terms(terms: Iterable[tuple[Iterable[tuple[str, int]], Fraction]]) -> str:
-    """Text of ((variable, nonzero exponent) pairs, coefficient) terms: ``3/2 * u^2 - v``.
-
-    Signs go into the ``+ ``/``- `` separators; a unit magnitude is omitted
-    unless the term is constant.
-    """
-    pieces: list[str] = []
-    for powers, coeff in terms:
-        factors = [f"{name}^{number_text(e)}" if e != 1 else name for name, e in powers]
-        mag = abs(coeff)
-        if not factors or mag != 1:
-            factors.insert(0, number_text(mag))
-        body = " * ".join(factors)
-        if pieces:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        else:
-            pieces.append(body if coeff > 0 else f"-{body}")
-    return " ".join(pieces) or "0"
-
-
-def grlex_key(exps: Exponents):
-    """Graded-lexicographic sort key (total grade first, then the vector)."""
-    return (sum(exps), exps)
-
-
 class LaurentPoly:
     """Immutable sparse Laurent polynomial over a fixed alphabet.
 
@@ -255,7 +230,7 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lexicographic order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     # ------------------------------------------------------------- arithmetic
     def _require_same(self, other: "LaurentPoly") -> None:
@@ -426,11 +401,26 @@ class LaurentPoly:
 
     # ------------------------------------------------------------------ print
     def to_string(self) -> str:
-        """Canonical text form, e.g. ``3/2 * z11^2 * zeta1^-1 - z0``."""
-        return format_terms(
-            ([(name, e) for name, e in zip(self.alphabet.names, exps) if e], coeff)
-            for exps, coeff in self.sorted_terms()
-        )
+        """Canonical text form, e.g. ``3/2 * z11^2 * zeta1^-1 - z0``.
+
+        Signs go into the ``+ ``/``- `` separators; a unit magnitude is omitted
+        unless the term is constant.
+        """
+        pieces: list[str] = []
+        for exps, coeff in self.sorted_terms():
+            factors = [
+                f"{name}^{number_text(e)}" if e != 1 else name
+                for name, e in zip(self.alphabet.names, exps) if e
+            ]
+            mag = abs(coeff)
+            if not factors or mag != 1:
+                factors.insert(0, number_text(mag))
+            body = " * ".join(factors)
+            if pieces:
+                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            else:
+                pieces.append(body if coeff > 0 else f"-{body}")
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_string()})"

@@ -56,9 +56,6 @@ class SpinorField(Record):
     def __add__(self, other: "SpinorField") -> "SpinorField":
         return SpinorField(tuple(a + b for a, b in zip(self.components, other.components)))
 
-    def __sub__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
     def scale(self, scalar: Scalar) -> "SpinorField":
         return SpinorField(tuple(p.scale(scalar) for p in self.components))
 
