@@ -25,6 +25,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _HWV = "src/monogenic/hwv.py"
 _EXPR = "src/monogenic/expr.py"
+_CHARTS = "src/monogenic/charts.py"
+_CODEC = ["tests/test_charts.py::test_term_data_reads_the_twistor_slots_by_name"]
 _ERROR_TABLE = ["tests/test_expr.py::test_parse_errors_give_their_message_and_position"]
 _REVERSED_RREF = "rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)"
 _PINNED = "pinned = set(range(n)).difference(n - 1 - p for p in pivots)"
@@ -75,6 +77,22 @@ MUTANTS = [
     ("weyl: no Weyl certificate call", "src/monogenic/weyl.py",
      "    _certify_weyl_symmetry(op)\n", "",
      ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]),
+    ("charts: term_data swaps the z12 and z21 slots", _CHARTS,
+     "exps[1:7]", "(exps[1], exps[3], exps[2], exps[4], exps[5], exps[6])",
+     _CODEC + ["tests/test_cochain.py::test_weight_of_monomial_matches_the_name_reading"]),
+    ("charts: term_data drops the minus on the zeta2 pole", _CHARTS,
+     "-exps[8]", "exps[8]", _CODEC + ["tests/test_hwv.py::test_complete_001_exact_value"]),
+    ("calibration: config_fields flips the epsilon sign", "src/monogenic/calibration.py",
+     'sign = "+1" if config.epsilon > 0 else "-1"', 'sign = "-1" if config.epsilon > 0 else "+1"',
+     ["tests/test_cli.py::test_calibrate_writes_config_and_report", "tests/test_cli_golden.py"]),
+    ("laurent: rref skips the first back-reduction step of each row", "src/monogenic/laurent.py",
+     "for p in [k for k in row if k in reduced]:", "for p in [k for k in row if k in reduced][1:]:",
+     ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",
+      "tests/test_nullspace.py::test_random_50_by_80_rank_nullity"]),
+    ("weyl: _dominant_blocks drops the d0 = d1 splits", "src/monogenic/weyl.py",
+     "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):",
+     ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
+      "tests/test_dirac.py::test_dominant_blocks_count_every_column"]),
     ("cli: table columns joined by one space", "src/monogenic/cli.py",
      'print(indent + "  ".join(', 'print(indent + " ".join(', ["tests/test_cli_golden.py"]),
     ("cli: no __main__ guard", "src/monogenic/cli.py",

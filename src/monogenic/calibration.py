@@ -99,12 +99,15 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
-def write_config(config: CalibrationConfig, directory: Path | str = ".") -> Path:
+def config_fields(config: CalibrationConfig) -> dict[str, str]:
+    """The calibration's values as the texts `read_config` accepts, in file order."""
     sign = "+1" if config.epsilon > 0 else "-1"
-    return _write_text(
-        Path(directory) / CONFIG_FILENAME,
-        f"epsilon = {sign}\nclifford_norm = {format_fraction(config.clifford_norm)}\n",
-    )
+    return {"epsilon": sign, "clifford_norm": format_fraction(config.clifford_norm)}
+
+
+def write_config(config: CalibrationConfig, directory: Path | str = ".") -> Path:
+    lines = "".join(f"{key} = {text}\n" for key, text in config_fields(config).items())
+    return _write_text(Path(directory) / CONFIG_FILENAME, lines)
 
 
 def read_config(directory: Path | str = ".") -> CalibrationConfig:

@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import Alphabet, LaurentPoly, Scalar
+from .laurent import Alphabet, Exponents, LaurentPoly, Scalar
 
 ZETA_VARS = ("zeta1", "zeta2", "zeta3")
 Z_VARS = ("z11", "z12", "z21", "z22", "z31", "z32")
@@ -31,6 +31,20 @@ X2_VARS = ("x2_11", "x2_12", "x2_21", "x2_22", "x2_31", "x2_32")
 TWISTOR = Alphabet(("z0",) + Z_VARS + ZETA_VARS, negatives=ZETA_VARS)
 BASE = Alphabet(("x12",) + X1_VARS + X2_VARS)
 CORRESPONDENCE = Alphabet(BASE.names + ZETA_VARS, negatives=ZETA_VARS)
+
+
+def term_data(exps: Exponents) -> tuple[int, Exponents, tuple[int, int, int]]:
+    """(s0, z, poles) of the TWISTOR monomial z0^s0 z^z / (zeta1^r1 zeta2^r2 zeta3^r3).
+
+    `z` holds the six exponents in `Z_VARS` order and `poles` the pole orders
+    (r1, r2, r3); `term_exponents` is the inverse.
+    """
+    return exps[0], exps[1:7], (-exps[7], -exps[8], -exps[9])
+
+
+def term_exponents(s0: int, z: Exponents, poles: tuple[int, int, int]) -> Exponents:
+    """The TWISTOR exponent vector of the monomial with data (s0, z, poles)."""
+    return (s0, *z, *(-r for r in poles))
 
 
 # Basis of Lambda^2 C^4 matching {e3, e4, e5, ebar3, ebar4, ebar5}: each row is

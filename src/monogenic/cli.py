@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import calibration
+from .charts import term_data
 from .cochain import ROOT_NAMES, CochainSection, g0_action, weight_of_monomial
 from .dirac import apply_2dirac, graded_kernel_dim
 from .expr import ParseError, parse_section, parse_spinor
@@ -36,13 +37,6 @@ TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s
 # degree 6, (0,0,3), weighs 539; at most 43 degree-12 terms, about 70 s on one core.
 TRANSFORM_SECTION_LIMIT = 560
 DECOMPOSE_DEGREE_LIMIT = 200  # 5,151 summands, 0.34 MB of table; the table grows as degree^2 / 8
-
-
-def _calibration_fields(config: calibration.CalibrationConfig) -> dict:
-    return {
-        "epsilon": "+1" if config.epsilon > 0 else "-1",
-        "clifford_norm": calibration.format_fraction(config.clifford_norm),
-    }
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -92,8 +86,7 @@ def _spinor_strings(field) -> list[str]:
 # `calibrate`) and returns the canonical input echo, the result and the calibration in use.
 def _cmd_transform(args, config):
     section = parse_section(args.section)
-    # TWISTOR slots: z0, then the six z_ij, then the zetas.
-    degrees = [2 * e[0] + sum(e[1:7]) for e in section.body.terms]
+    degrees = [2 * s0 + sum(z) for s0, z, _ in map(term_data, section.body.terms)]
     if any(d > TRANSFORM_DEGREE_LIMIT for d in degrees):
         raise PreconditionError(
             f"a term's degree 2*s0 + sum s_ij is over the transform limit {TRANSFORM_DEGREE_LIMIT}"
@@ -182,7 +175,7 @@ def _cmd_calibrate(args, _config):
     report_file = calibration.write_report(report)
     result = {
         "attempts": attempts,
-        "chosen": _calibration_fields(config),
+        "chosen": calibration.config_fields(config),
         "config_file": str(config_file),
         "report_file": str(report_file),
         "third_item_report": report,
@@ -232,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
     doc = {"command": args.command, "input": inputs,
-           "calibration": _calibration_fields(config), "result": result}
+           "calibration": calibration.config_fields(config), "result": result}
     try:
         _emit(doc, args.format)
         if sys.stdout is not None:  # None when the process started with fd 1 closed

@@ -28,7 +28,7 @@ import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .charts import BASE, TWISTOR, Z_VARS, ZETA_VARS
+from .charts import BASE, TWISTOR, Z_VARS, term_data, term_exponents
 from .laurent import LaurentPoly, PreconditionError, Record, Scalar
 
 POSITIVE_SIMPLE_ROOTS = ("A12", "E12", "E23", "E34")
@@ -60,14 +60,14 @@ class CochainSection(Record):
         poles: tuple[int, int, int] = (0, 0, 0),
         coeff: Scalar = 1,
     ) -> "CochainSection":
-        powers = {"z0": s0}
-        for name, e in (z or {}).items():
+        z = z or {}
+        for name in z:
             if name not in Z_VARS:
                 raise PreconditionError(f"{name!r} is not a z variable")
-            powers[name] = e
-        for name, r in zip(ZETA_VARS, poles):
-            powers[name] = -r
-        return cls(LaurentPoly.monomial(TWISTOR, powers, coeff))
+        if len(poles) != 3:
+            raise PreconditionError(f"a monomial takes exactly three pole orders, not {len(poles)}")
+        exps = term_exponents(s0, tuple(z.get(name, 0) for name in Z_VARS), poles)
+        return cls.from_terms({exps: coeff})
 
     def __add__(self, other: "CochainSection") -> "CochainSection":
         return CochainSection(self.body + other.body)
@@ -87,11 +87,8 @@ class CochainSection(Record):
     def monomial_data(self) -> tuple[int, dict[str, int], tuple[int, int, int], Fraction]:
         """(s0, {z_ij: s_ij}, (r1, r2, r3), coefficient) of a single monomial."""
         exps, coeff = self.body.sole_term()
-        idx = TWISTOR.index
-        s0 = exps[idx["z0"]]
-        z = {name: exps[idx[name]] for name in Z_VARS if exps[idx[name]]}
-        poles = tuple(-exps[idx[name]] for name in ZETA_VARS)
-        return s0, z, poles, coeff
+        s0, z, poles = term_data(exps)
+        return s0, {name: e for name, e in zip(Z_VARS, z) if e}, poles, coeff
 
 
 class Weight(Record):
@@ -103,27 +100,14 @@ class Weight(Record):
         last = self.gl4[3]
         return tuple(v - last for v in self.gl4)
 
-    def same_sl4(self, other: "Weight") -> bool:
-        return self.gl4_normalized() == other.gl4_normalized()
-
 
 def weight_of_monomial(section: CochainSection) -> Weight:
     """The joint gl(2) (+) gl(4) eigenvalue of a single monomial section."""
-    if not section.is_monomial():
-        raise PreconditionError("weight_of_monomial expects a single monomial")
-    s0, z, (r1, r2, r3), _ = section.monomial_data()
-    col = {1: 0, 2: 0}
-    row = {1: 0, 2: 0, 3: 0}
-    for name, e in z.items():
-        row[int(name[1])] += e
-        col[int(name[2])] += e
-    s = row[1] + row[2] + row[3]
-    r = r1 + r2 + r3
-    half5 = Fraction(5, 2)
-    return Weight(
-        gl2=(col[1] + s0 + half5, col[2] + s0 + half5),
-        gl4=(5 + s - r, r1 + row[1], r2 + row[2], r3 + row[3]),
-    )
+    s0, z, (r1, r2, r3) = term_data(section.body.sole_term()[0])
+    # z = (z11, z12, z21, z22, z31, z32): rows are its pairs, columns its even and odd positions.
+    row = [a + b for a, b in zip(z[0::2], z[1::2])]
+    gl2 = tuple(sum(z[j::2]) + s0 + Fraction(5, 2) for j in (0, 1))
+    return Weight(gl2=gl2, gl4=(5 + sum(z) - r1 - r2 - r3, r1 + row[0], r2 + row[1], r3 + row[2]))
 
 
 # --------------------------------------------------------------- action tables
@@ -210,12 +194,10 @@ def triviality_certificate(section: CochainSection) -> Certificate:
     means every r_i >= 0 and sum(r) >= s0 + |Z| + 5: past the transform's
     reach bound, so the image is zero.
     """
-    if not section.is_monomial():
-        raise PreconditionError("triviality_certificate expects a single monomial")
-    s0, z, poles, _ = section.monomial_data()
+    s0, z, poles = term_data(section.body.sole_term()[0])
     if any(r < 0 for r in poles):
         return Certificate.TRIVIAL_NEGATIVE_POLE
-    if 5 + s0 + sum(z.values()) > sum(poles):
+    if 5 + s0 + sum(z) > sum(poles):
         return Certificate.TRIVIAL_EXTENDS
     return Certificate.INCONCLUSIVE
 

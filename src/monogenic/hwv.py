@@ -25,18 +25,17 @@ z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
 
 from __future__ import annotations
 
-from .charts import TWISTOR, ZETA_VARS
+from .charts import TWISTOR, term_exponents
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection
 from .dirac import _compositions
 from .laurent import (
     Exponents,
     InternalCheckError,
     LaurentPoly,
-    PreconditionError,
     exact_nullspace,
     rref,
 )
-from .repn import leading_term
+from .repn import IrrepLabel, leading_term
 from .transform import SpinorField, penrose_transform, spinor_action
 from .transform import spinor_coefficient_rows as _stacked_rows
 
@@ -60,22 +59,15 @@ def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
     (a+b+t, a+t), and the pole orders are then forced by the row sums:
     r = (a+b+1+t-s1, a+1+t-s2, 1+t-s3).
     """
-    idx = TWISTOR.index
     out = []
     for s0 in range(l, -1, -1):
         t = l - s0
         for col1 in _compositions(a + b + t, 3):
             for col2 in _compositions(a + t, 3):
-                rows = [col1[i] + col2[i] for i in range(3)]
+                rows = [c1 + c2 for c1, c2 in zip(col1, col2)]
                 poles = (a + b + 1 + t - rows[0], a + 1 + t - rows[1], 1 + t - rows[2])
-                exps = [0] * len(TWISTOR)
-                exps[idx["z0"]] = s0
-                for i in range(3):
-                    exps[idx[f"z{i + 1}1"]] = col1[i]
-                    exps[idx[f"z{i + 1}2"]] = col2[i]
-                for name, r in zip(ZETA_VARS, poles):
-                    exps[idx[name]] = -r
-                out.append(tuple(exps))
+                z = tuple(v for pair in zip(col1, col2) for v in pair)  # z11, z12, z21, ...
+                out.append(term_exponents(s0, z, poles))
     return sorted(set(out))
 
 
@@ -97,8 +89,7 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
     the section is not transformed again.
     """
     a, b, l = label
-    if min(a, b, l) < 0:
-        raise PreconditionError("label entries must be non-negative")
+    IrrepLabel(a, b, l)  # raises PreconditionError on a negative entry
 
     exponents = candidate_exponents(a, b, l)
     candidates = [CochainSection.from_terms({e: 1}) for e in exponents]

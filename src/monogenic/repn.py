@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochain import CochainSection, Weight, weight_of_monomial
+from .charts import TWISTOR, ZETA_VARS, term_data
+from .cochain import CochainSection, weight_of_monomial
 from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record, Scalar
-from .charts import TWISTOR, ZETA_VARS
 
 
 class IrrepLabel(Record):
@@ -86,7 +86,6 @@ def decompose_Mk(k: int) -> list[tuple[IrrepLabel, ModuleDescriptor]]:
         for a in range((k - 2 * l) // 2 + 1)
         for b in (k - 2 * l - 2 * a,)
     ]
-    labels.sort(key=lambda lab: (lab.l, lab.a, lab.b))
     return [(lab, module_descriptor(lab)) for lab in labels]
 
 
@@ -112,10 +111,8 @@ def label_of_hwv(section: CochainSection) -> IrrepLabel:
         raise PreconditionError("the zero section is not a highest weight vector")
     l = body.degree_in("z0")
     top = body.coefficient_of(("z0",), (l,))
-    idx = TWISTOR.index
-    for exps in top.terms:
-        if any(exps[idx[name]] != -1 for name in ZETA_VARS):
-            raise PreconditionError("leading z0-term does not have simple poles (1,1,1)")
+    if any(term_data(exps)[2] != (1, 1, 1) for exps in top.terms):
+        raise PreconditionError("leading z0-term does not have simple poles (1,1,1)")
     a = top.degree_in("z22")
     b = top.degree_in("z11") - a
     if b < 0:
@@ -128,8 +125,7 @@ def label_of_hwv(section: CochainSection) -> IrrepLabel:
     label = IrrepLabel(a, b, l)
     descriptor = module_descriptor(label)
     lead_weight = weight_of_monomial(CochainSection.from_terms({lead_key: 1}))
-    expected = Weight(gl2=descriptor.gl2_weight, gl4=descriptor.sl4_weight)
-    if lead_weight.gl2 != expected.gl2 or not lead_weight.same_sl4(expected):
+    if lead_weight.gl2 != descriptor.gl2_weight or lead_weight.gl4_normalized() != descriptor.sl4_weight:
         raise InternalCheckError(
             f"leading-term weight {lead_weight} disagrees with descriptor {descriptor}"
         )

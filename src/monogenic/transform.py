@@ -16,12 +16,10 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
+from .charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution, term_data
 from .cochain import POSITIVE_SIMPLE_ROOTS, _SPINOR_SLOTS, _SPINOR_TABLES, _TABLES, _TWISTS
 from .cochain import CochainSection, apply_derivation
 from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record, Scalar
-
-_ZETA_SLOTS = tuple(TWISTOR.index[name] for name in ZETA_VARS)
 
 
 class SpinorField(Record):
@@ -72,8 +70,8 @@ def _reaches_residue(exps: Exponents) -> bool:
     Its bindings multiply to zeta exponents >= 0 summing to at most s0 + |Z|
     (each binding is affine in zeta), and component m needs zeta^(r - 1 - delta_m).
     """
-    poles = [-exps[i] for i in _ZETA_SLOTS]
-    degree = sum(exps) + sum(poles)  # s0 + |Z|
+    s0, z, poles = term_data(exps)
+    degree = s0 + sum(z)
     return min(poles) >= 1 and sum(r - 1 for r in poles) <= degree + 1
 
 

@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .charts import BASE
 from .dirac import (
@@ -29,7 +29,7 @@ from .dirac import (
     _direction,
     _volume_coefficient,
 )
-from .laurent import Exponents, InternalCheckError, PreconditionError, matrix_rank
+from .laurent import Exponents, InternalCheckError, PreconditionError, Record, matrix_rank
 
 
 # A torus weight of GL(2) x GL(4) is six ints (c0, c1 | f0, f1, f2, f3).
@@ -66,7 +66,7 @@ def _output_weight(j: int, mu: int, exps: Exponents) -> tuple[int, ...]:
     return tuple(w + c - f for w, c, f in zip(_weight(exps), _unit(j, 2, 3, 4, 5), _unit(2 + mu)))
 
 
-class WeylGenerator(NamedTuple):
+class WeylGenerator(Record):
     """A simple reflection of S2 x S4 as signed permutations P of spinors and Q of outputs.
 
     P sends x^e (x) f_nu to the product of the images ``variables[s] =
@@ -75,10 +75,8 @@ class WeylGenerator(NamedTuple):
     image of x^e).
     """
 
-    variables: tuple[tuple[int, int], ...]
-    halves: tuple[int, int]
-    slots: tuple[int, int, int, int]
-    output_sign: int
+    # (target, sign) per BASE variable, the GL(2) and GL(4) axis permutations, and a sign
+    __slots__ = ("variables", "halves", "slots", "output_sign")
 
     def monomial(self, exps: Exponents) -> tuple[int, Exponents]:
         """(sign, exponents) of the image of x^e."""

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from monogenic.charts import (
     BASE,
@@ -11,6 +13,8 @@ from monogenic.charts import (
     Z_VARS,
     ZETA_VARS,
     correspondence_substitution,
+    term_data,
+    term_exponents,
 )
 from monogenic.laurent import LaurentPoly, PreconditionError
 
@@ -258,3 +262,14 @@ def test_grade_minus_one_same_block_commutes():
     v = gminus_matrix([[0, 1], [0, 0], [0, 0]], [[0, 0]] * 3, 0)
     bracket = matrix_commutator(u, v)
     assert all(not any(row) for row in bracket)
+
+
+# --------------------------------------------------------- twistor monomials
+@given(st.tuples(*[st.integers(0, 6)] * 7, *[st.integers(-6, 6)] * 3))
+@settings(max_examples=200, deadline=None)
+def test_term_data_reads_the_twistor_slots_by_name(exps):
+    s0, z, poles = term_data(exps)
+    assert s0 == exps[TWISTOR.index["z0"]]
+    assert z == tuple(exps[TWISTOR.index[name]] for name in Z_VARS)
+    assert poles == tuple(-exps[TWISTOR.index[name]] for name in ZETA_VARS)
+    assert term_exponents(s0, z, poles) == exps

@@ -14,6 +14,7 @@ from monogenic.cochain import (
     ROOT_NAMES,
     Certificate,
     CochainSection,
+    Weight,
     g0_action,
     triviality_certificate,
     weight_of_monomial,
@@ -70,6 +71,41 @@ def test_weight_rejects_sums():
     s = mono(z={"z11": 1}) + mono(z={"z12": 1})
     with pytest.raises(PreconditionError):
         weight_of_monomial(s)
+
+
+def name_parsing_weight(section):
+    # The weight with z_ij read by name: its exponent adds to row i and column j.
+    exps, _ = section.body.sole_term()
+    s0, (r1, r2, r3) = exps[TWISTOR.index["z0"]], [-exps[TWISTOR.index[name]] for name in ZETA_VARS]
+    col = {1: 0, 2: 0}
+    row = {1: 0, 2: 0, 3: 0}
+    for name in Z_VARS:
+        e = exps[TWISTOR.index[name]]
+        row[int(name[1])] += e
+        col[int(name[2])] += e
+    s = row[1] + row[2] + row[3]
+    half5 = Fraction(5, 2)
+    return Weight(
+        gl2=(col[1] + s0 + half5, col[2] + s0 + half5),
+        gl4=(5 + s - r1 - r2 - r3, r1 + row[1], r2 + row[2], r3 + row[3]),
+    )
+
+
+@given(
+    st.integers(0, 4),
+    st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    st.tuples(*[st.integers(-4, 4)] * 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_weight_of_monomial_matches_the_name_reading(s0, z, poles):
+    f = mono(s0=s0, z=dict(zip(Z_VARS, z)), poles=poles, coeff=3)
+    assert weight_of_monomial(f) == name_parsing_weight(f)
+
+
+@pytest.mark.parametrize("poles", [(1, 1), (1, 2, 3, 4), ()], ids=["two", "four", "none"])
+def test_monomial_takes_exactly_three_pole_orders(poles):
+    with pytest.raises(PreconditionError, match="exactly three pole orders"):
+        mono(s0=1, z={"z11": 1}, poles=poles)
 
 
 # ----------------------------------------------------------------------- action

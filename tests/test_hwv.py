@@ -71,7 +71,7 @@ def test_complete_001_candidates_cover_the_weight_space():
 
         w = weight_of_monomial(CochainSection(LaurentPoly(TWISTOR, {e: 1})))
         assert w.gl2 == lead.gl2
-        assert w.same_sl4(lead)
+        assert w.gl4_normalized() == lead.gl4_normalized()
 
 
 def labels_of_degree(k):

@@ -20,6 +20,7 @@ from monogenic.laurent import (
 )
 from monogenic.repn import IrrepLabel, ModuleDescriptor
 from monogenic.transform import SpinorField
+from monogenic.weyl import WeylGenerator
 
 AB = Alphabet(("x", "y"))
 ZETAS = Alphabet(("zeta1", "zeta2", "zeta3"), negatives=("zeta1", "zeta2", "zeta3"))
@@ -319,6 +320,8 @@ RECORDS = [
      "DiracOperator(epsilon=1, clifford_norm=Fraction(1, 1), plan=((),), scale=2)", None, None),
     (CalibrationConfig, (-1, Fraction(1, 2)), "CalibrationConfig(epsilon=-1, clifford_norm=Fraction(1, 2))",
      None, None),
+    (WeylGenerator, (((1, -1),), (1, 0), (0, 1, 2, 3), -1),
+     "WeylGenerator(variables=((1, -1),), halves=(1, 0), slots=(0, 1, 2, 3), output_sign=-1)", None, None),
 ]
 
 
