@@ -2,13 +2,15 @@
 
 A mutant replaces one exact text in one file.  For each mutant the script
 copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
-applies the mutant there and runs the named tests with `-x`.  A `conftest.py`
-written into the copy's `tests/` (never into the checkout) loads a Hypothesis
-profile without the shrink phase or an example database, so a property that
-catches the mutant fails within seconds and no earlier run decides the result.
-The named tests must first pass on an unmutated copy.  Each mutant then
-prints `killed` or `survived`; the last line is `total: ok` only when every
-mutant is killed.
+applies the mutant there and runs each named test in its own pytest process,
+with `-x`.  A `conftest.py` written into the copy's `tests/` (never into the
+checkout) loads a Hypothesis profile without the shrink phase or an example
+database, so a property that catches the mutant fails within seconds and no
+earlier run decides the result.
+The named tests must first pass on an unmutated copy.  A mutant is `killed`
+only when every one of its named tests fails; otherwise it `survived`, and the
+tests that still pass are listed.  The last line is `total: ok` only when
+every mutant is killed.
 
 Usage: python scripts/mutants.py
 """
@@ -28,19 +30,43 @@ _EXPR = "src/monogenic/expr.py"
 _CHARTS = "src/monogenic/charts.py"
 _CODEC = ["tests/test_charts.py::test_term_data_reads_the_twistor_slots_by_name"]
 _ERROR_TABLE = ["tests/test_expr.py::test_parse_errors_give_their_message_and_position"]
-_REVERSED_RREF = "rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)"
-_PINNED = "pinned = set(range(n)).difference(n - 1 - p for p in pivots)"
+_REVERSED_RREF = "rref([{n - 1 - c: v for c, v in row.items()} for row in _stacked_rows(images)], n)"
+_REVERSED_H = "h = [form.coefficient(e) for e in reversed(exponents)]"
+_READ_BACK = "representative = [at_pivot.get(n - 1 - c, 0) for c in range(n)]"
+_AT_PIVOT = "    at_pivot = {p: sum(r * v for r, v in zip(row, h)) for row, p in zip(reduced, pivots)}\n"
+_FORWARD = ("rref(_stacked_rows(images), n)\n    h = [form.coefficient(e) for e in exponents]\n"
+            f"{_AT_PIVOT}    representative = [at_pivot.get(c, 0) for c in range(n)]")
+_N = "n, c, terms = 2 * a + b + 5,"
+_PINNED_STRINGS = ["tests/test_hwv.py::test_complete_pinned_strings",
+                   "tests/test_hwv.py::test_completion_is_the_raising_solve"]
+# Forward and reversed pinning first differ at (0,1,2), a degree-five label.
+_DEGREE_FIVE = ["tests/test_hwv.py::test_completion_is_the_raising_solve",
+                "tests/test_hwv.py::test_completion_image_is_the_transform_of_the_section",
+                "tests/test_hwv.py::test_round_trip_degree_five_labels"]
+_CLOSED_FORM = ["tests/test_hwv.py::test_closed_form_is_the_product_expansion",
+                "tests/test_hwv.py::test_closed_form_transforms_to_the_golden_images",
+                "tests/test_hwv.py::test_complete_001_exact_value"]
 
 # (name, file, exact old text, new text, tests that must fail)
 MUTANTS = [
-    ("hwv: pin the reversed pivots themselves", _HWV, _PINNED,
-     "pinned = {n - 1 - p for p in pivots}", ["tests/test_hwv.py"]),
-    ("hwv: drop the n - 1 - un-reversal", _HWV, _PINNED,
-     "pinned = set(range(n)).difference(pivots)", ["tests/test_hwv.py"]),
+    ("hwv: closed-form coefficients in forward candidate order", _HWV, _REVERSED_H,
+     "h = [form.coefficient(e) for e in exponents]", _PINNED_STRINGS),
+    ("hwv: representative read back without the n - 1 - c un-reversal", _HWV, _READ_BACK,
+     "representative = [at_pivot.get(c, 0) for c in range(n)]", _PINNED_STRINGS),
     ("hwv: skip reversing the rows", _HWV, _REVERSED_RREF,
-     "rref(image_rows, n)", ["tests/test_hwv.py"]),
-    ("hwv: pin the forward free columns", _HWV, f"{_REVERSED_RREF}\n    {_PINNED}",
-     "rref(image_rows, n)\n    pinned = set(range(n)).difference(pivots)", ["tests/test_hwv.py"]),
+     "rref(_stacked_rows(images), n)", _PINNED_STRINGS),
+    ("hwv: pin the forward free columns", _HWV,
+     f"{_REVERSED_RREF}\n    {_REVERSED_H}\n{_AT_PIVOT}    {_READ_BACK}", _FORWARD, _DEGREE_FIVE),
+    ("hwv: closed form with N = 2a + b + 4", _HWV, _N, "n, c, terms = 2 * a + b + 4,", _CLOSED_FORM),
+    ("hwv: closed form with N = 2a + b + 6", _HWV, _N, "n, c, terms = 2 * a + b + 6,", _CLOSED_FORM),
+    ("hwv: no certificate check", _HWV,
+     "    if not _is_hwv_image(image):\n        raise InternalCheckError(",
+     "    if False:\n        raise InternalCheckError(",
+     ["tests/test_hwv.py::test_completion_certifies_the_closed_form",
+      "tests/test_hwv.py::test_completion_raises_only_the_final_image"]),
+    ("hwv: no weight-space check", _HWV,
+     "    if not form.terms.keys() <= set(exponents):\n", "    if False:\n",
+     ["tests/test_hwv.py::test_completion_rejects_a_closed_form_outside_the_weight_space"]),
     ("transform: reach rule degree + 0", "src/monogenic/transform.py",
      "sum(r - 1 for r in poles) <= degree + 1", "sum(r - 1 for r in poles) <= degree + 0",
      ["tests/test_transform.py::test_reach_rule_keeps_every_nonzero_image",
@@ -107,8 +133,11 @@ settings.load_profile("mutants")
 """
 
 
-def run_tests(tests: list[str], mutant: tuple[str, str, str] | None = None) -> int:
-    """The pytest exit code of `tests` in a fresh copy, with `mutant` (file, old, new) applied."""
+def run_tests(groups: list[list[str]], mutant: tuple[str, str, str] | None = None) -> list[int]:
+    """The pytest exit code of each group of tests, one process per group, in one fresh copy.
+
+    `mutant` (file, old, new) is applied to the copy first.
+    """
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -123,25 +152,33 @@ def run_tests(tests: list[str], mutant: tuple[str, str, str] | None = None) -> i
                 raise SystemExit(f"{file}: the mutant's old text occurs {text.count(old)} times, not once")
             (copy / file).write_text(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+        return [
+            subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            ).returncode
+            for tests in groups
+        ]
 
 
 def main() -> int:
     start = time.perf_counter()
     # A mutant counts as killed only if the same tests pass without it.
     named = sorted({test for *_, tests in MUTANTS for test in tests})
-    if run_tests(named):
+    if run_tests([named]) != [0]:
         print("baseline: the named tests fail on the unmutated copy")
         return 1
     all_killed = True
     for name, file, old, new, tests in MUTANTS:
         t0 = time.perf_counter()
-        code = run_tests(tests, (file, old, new))
-        verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
-        all_killed &= code == 1
+        codes = run_tests([[test] for test in tests], (file, old, new))
+        errors = sorted({code for code in codes if code not in (0, 1)})
+        passed = [test for test, code in zip(tests, codes) if code == 0]
+        if errors:
+            verdict = f"error (pytest exit {', '.join(map(str, errors))})"
+        else:
+            verdict = f"survived (still passing: {', '.join(passed)})" if passed else "killed"
+        all_killed &= not errors and not passed
         print(f"{name}: {verdict}  ({time.perf_counter() - t0:.1f}s)", flush=True)
     print(f"total: {'ok' if all_killed else 'SURVIVORS'}  ({time.perf_counter() - start:.1f}s)")
     return 0 if all_killed else 1

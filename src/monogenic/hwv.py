@@ -1,4 +1,4 @@
-"""Highest weight vectors in the third cohomology, tested and completed exactly.
+"""Highest weight vectors in the third cohomology, tested and written in closed form.
 
 A section is a highest weight vector when its class is nonzero and every
 positive simple raising (A12, E12, E23, E34) sends it to a class-zero section;
@@ -7,34 +7,27 @@ raising of a section to the first-order operator rho(E) on its image
 (`transform.spinor_action`, certified once), so only the section is
 transformed and the raisings act on its image.
 
-Completion: the weight of the sought vector pins a finite monomial candidate
-space (z0 degree at most l, pole orders determined by the row sums), and the
-raising conditions become an exact linear system over it.  Each candidate, a
-distinct monomial, is transformed once, and its raising rows are read off
-rho(E) applied to its image.  The solution is
-unique only at the level of classes: the candidate space contains combinations
-whose image vanishes, and with it every raised image (rho(E) is linear).
-Candidate c leads such a combination exactly when its image lies in the span
-of the later candidates' images, that is when column c is not a pivot of the
-image rows read with their columns reversed.  Each class holds exactly one
-raising solution that vanishes at these pinned candidates, so one nullspace,
-of the raising rows plus a unit row per pinned candidate, gives the canonical
-representative, normalized so the designated leading monomial
-z0^l z11^(a+b) z22^a / (zeta1 zeta2 zeta3) has coefficient one.
+Closed form: with N = 2a + b + 5, Delta = z11 z22 - z12 z21 and q_i the minor
+(z_j1 z_k2 - z_j2 z_k1) / zeta_i for (i, j, k) cyclic,
+
+    H(a, b, l) = Delta^a z11^b sum_j c_j z0^(l-j) h_j(q1, q2, q3) / (zeta1 zeta2 zeta3),
+
+c_j = [l!/(l-j)!] / [N (N+1) ... (N+j-1)] and h_j the complete homogeneous
+symmetric polynomial of degree j.  H lies in its label's weight space, a
+finite space of candidate monomials.  Candidate c is pinned when the later
+candidates' images span its own, that is when column c is no pivot of the
+image rows read with their columns reversed.  The canonical vector is the
+member of H's class that vanishes at the pinned candidates.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .charts import TWISTOR, term_exponents
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection
 from .dirac import _compositions
-from .laurent import (
-    Exponents,
-    InternalCheckError,
-    LaurentPoly,
-    exact_nullspace,
-    rref,
-)
+from .laurent import Exponents, InternalCheckError, LaurentPoly, rref
 from .repn import IrrepLabel, leading_term
 from .transform import SpinorField, penrose_transform, spinor_action
 from .transform import spinor_coefficient_rows as _stacked_rows
@@ -71,43 +64,49 @@ def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
     return sorted(set(out))
 
 
+def closed_form(label: tuple[int, int, int]) -> LaurentPoly:
+    """H(a, b, l) of the module docstring: a highest weight vector of the label, with no solve."""
+    a, b, l = label
+    q1, q2, q3 = (LaurentPoly.monomial(TWISTOR, {f"z{j}1": 1, f"z{k}2": 1, f"zeta{i}": -1})
+                  - LaurentPoly.monomial(TWISTOR, {f"z{j}2": 1, f"z{k}1": 1, f"zeta{i}": -1})
+                  for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    n, c, terms = 2 * a + b + 5, Fraction(1), []
+    for j in range(l + 1):
+        z0 = LaurentPoly.monomial(TWISTOR, {"z0": l - j}, c)
+        terms += [z0 * q1 ** i1 * q2 ** i2 * q3 ** i3 for i1, i2, i3 in _compositions(j, 3)]
+        c = c * (l - j) / (n + j)
+    return LaurentPoly.sum(TWISTOR, terms) * leading_term(a, b, l)[1]
+
+
 def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     """The canonical highest weight vector with leading term z0^l D^a z11^b/(zzz).
 
-    Raises InternalCheckError if the linear system fails to have a unique
-    class-level solution (which would falsify the uniqueness statement the
-    construction relies on).
+    It is the closed form reduced to its pinned representative, normalized to
+    leading coefficient one.  Raises InternalCheckError when the closed form
+    leaves the weight space or the image fails the certificate `_is_hwv_image`.
     """
     return _complete_with_image(label)[0]
 
 
 def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, SpinorField]:
-    """`hwv_complete` and the transform of its section.
+    """`hwv_complete` and the transform of its section, summed from the candidate images.
 
-    The image is sum_e c_e T(candidate_e) over the representative's
-    coefficients, from the candidate images the completion already has, so
-    the section is not transformed again.
+    With R the reduced image rows and h the closed form's coefficients, both in
+    reversed candidate order, the representative is R_p . h at each pivot p and
+    zero at the pinned candidates, so its image is that of the closed form.
     """
     a, b, l = label
     IrrepLabel(a, b, l)  # raises PreconditionError on a negative entry
+    exponents, form = candidate_exponents(a, b, l), closed_form(label)
+    if not form.terms.keys() <= set(exponents):
+        raise InternalCheckError(f"label {label}: a closed-form term lies outside the weight space")
 
-    exponents = candidate_exponents(a, b, l)
-    candidates = [CochainSection.from_terms({e: 1}) for e in exponents]
-
-    n = len(candidates)
-    images = [penrose_transform(cand) for cand in candidates]
-    raised_images = [[spinor_action(root, image) for root in POSITIVE_SIMPLE_ROOTS] for image in images]
-    # Candidate c is pinned when the later candidates' images span its own: column
-    # n-1-c is then no pivot of the image rows with their columns reversed.
-    image_rows = _stacked_rows([[image] for image in images])
-    _, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)
-    pinned = set(range(n)).difference(n - 1 - p for p in pivots)
-    classes = exact_nullspace(_stacked_rows(raised_images) + [{c: 1} for c in pinned], n_cols=n)
-    if len(classes) != 1:
-        raise InternalCheckError(
-            f"label {label}: solution space has class dimension {len(classes)}, expected 1"
-        )
-    representative = classes[0]
+    n = len(exponents)
+    images = [penrose_transform(CochainSection.from_terms({e: 1})) for e in exponents]
+    reduced, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in _stacked_rows(images)], n)
+    h = [form.coefficient(e) for e in reversed(exponents)]
+    at_pivot = {p: sum(r * v for r, v in zip(row, h)) for row, p in zip(reduced, pivots)}
+    representative = [at_pivot.get(n - 1 - c, 0) for c in range(n)]
 
     lead_exps, expected_top = leading_term(a, b, l)
     lead_coeff = representative[exponents.index(lead_exps)]
@@ -116,12 +115,12 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
     representative = [v / lead_coeff for v in representative]
 
     body = LaurentPoly(TWISTOR, dict(zip(exponents, representative)))
-    section = CochainSection(body)
-
     # The z0-top part must be exactly Delta^a z11^b/(zeta1 zeta2 zeta3).
     if body.degree_in("z0") != l:
         raise InternalCheckError(f"label {label}: z0 degree is not {l}")
     if body.coefficient_of(("z0",), (l,)) != expected_top:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
     image = SpinorField.combination((c, field) for c, field in zip(representative, images) if c)
-    return section, image
+    if not _is_hwv_image(image):
+        raise InternalCheckError(f"label {label}: the certificate fails (image zero or not raising-closed)")
+    return CochainSection(body), image

@@ -94,18 +94,16 @@ def penrose_transform(section: CochainSection) -> SpinorField:
     return SpinorField(tuple(components))
 
 
-def spinor_coefficient_rows(columns: list[Sequence[SpinorField]]) -> list[dict[int, Fraction]]:
-    """Exact coefficient matrix of a tuple of spinor fields per column, as sparse rows.
+def spinor_coefficient_rows(columns: Sequence[SpinorField]) -> list[dict[int, Fraction]]:
+    """Exact coefficient matrix of one spinor field per column, as sparse rows.
 
-    One row {column: coefficient} per (slot, component, monomial) coordinate
-    that occurs, in order of first occurrence.
+    One row {column: coefficient} per (component, monomial) that occurs, in order of first occurrence.
     """
-    rows: dict[tuple[int, int, Exponents], dict[int, Fraction]] = {}
-    for col, fields in enumerate(columns):
-        for slot, field in enumerate(fields):
-            for m, p in enumerate(field.components):
-                for e, c in p.terms.items():
-                    rows.setdefault((slot, m, e), {})[col] = c
+    rows: dict[tuple[int, Exponents], dict[int, Fraction]] = {}
+    for col, field in enumerate(columns):
+        for m, p in enumerate(field.components):
+            for e, c in p.terms.items():
+                rows.setdefault((m, e), {})[col] = c
     return list(rows.values())
 
 

@@ -12,11 +12,14 @@ from monogenic.cli import TRANSFORM_SECTION_LIMIT
 from monogenic.cochain import CochainSection, weight_of_monomial
 from monogenic import hwv
 from monogenic.dirac import is_monogenic
-from monogenic.hwv import _complete_with_image, candidate_exponents, hwv_complete, hwv_test
+from monogenic.hwv import _complete_with_image, _is_hwv_image, candidate_exponents, closed_form
+from monogenic.hwv import hwv_complete, hwv_test
 from monogenic.laurent import InternalCheckError, PreconditionError
-from monogenic.repn import label_of_hwv, module_descriptor
+from monogenic.repn import IrrepLabel, label_of_hwv, module_descriptor
 from monogenic.charts import TWISTOR
 from monogenic.transform import SpinorField, penrose_transform
+
+from hwv_oracle import closed_form_with, complete_by_solve
 
 
 def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
@@ -204,6 +207,15 @@ def test_round_trip_degree_five_labels():
 def test_round_trip_degree_six_labels():
     assert len(labels_of_degree(6)) == 10
     assert_round_trip_monogenic(6)
+    for label in labels_of_degree(6):
+        assert complete_by_solve(label) == _complete_with_image(label), label
+
+
+def test_completion_is_the_raising_solve():
+    # The oracle solves the raising system over the candidates and asserts that
+    # its class dimension is 1; the slow degree-six round trip compares the rest.
+    for label in ALL_LABELS + labels_of_degree(5):
+        assert complete_by_solve(label) == _complete_with_image(label), label
 
 
 def test_completion_image_is_the_transform_of_the_section():
@@ -219,16 +231,70 @@ def test_completion_image_is_the_transform_of_the_section():
         assert_golden(label, section, image)
 
 
-@pytest.mark.parametrize("zeroed", ["all images", "raised images"])
-def test_completion_rejects_a_class_dimension_other_than_one(monkeypatch, zeroed):
-    # All images zero leave class dimension 0.  Zero raised images alone put
-    # every candidate in the raising kernel, and the candidate images of
-    # (0, 0, 1) span 7 dimensions, so the class dimension is 7.
-    name = "penrose_transform" if zeroed == "all images" else "spinor_action"
-    monkeypatch.setattr(hwv, name, lambda *args: SpinorField.zero())
-    expected = "(0, 0, 1): solution space has class dimension " + ("0" if zeroed == "all images" else "7")
+def test_completion_rejects_zero_candidate_images(monkeypatch):
+    monkeypatch.setattr(hwv, "penrose_transform", lambda section: SpinorField.zero())
+    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): leading coefficient vanished")):
+        hwv_complete((0, 0, 1))
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_completion_certifies_the_closed_form(monkeypatch, shift):
+    # With N = 2a + b + 5 + shift the closed form stays in the weight space and
+    # keeps its leading term, but its image is no longer raising-closed.
+    shifted = lambda label: closed_form_with(label, 2 * label[0] + label[1] + 5 + shift)
+    monkeypatch.setattr(hwv, "closed_form", shifted)
+    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): the certificate fails")):
+        hwv_complete((0, 0, 1))
+
+
+def test_completion_rejects_a_closed_form_outside_the_weight_space(monkeypatch):
+    stray = mono(s0=2, poles=(1, 1, 1)).body  # the weight of label (0, 0, 2)
+    monkeypatch.setattr(hwv, "closed_form", lambda label: closed_form(label) + stray)
+    expected = "(0, 0, 1): a closed-form term lies outside the weight space"
     with pytest.raises(InternalCheckError, match=re.escape(expected)):
         hwv_complete((0, 0, 1))
+
+
+def test_completion_raises_only_the_final_image(monkeypatch):
+    calls = []
+    action = hwv.spinor_action
+    monkeypatch.setattr(hwv, "spinor_action", lambda root, field: calls.append(root) or action(root, field))
+    hwv_complete((0, 0, 2))
+    assert calls == ["A12", "E12", "E23", "E34"]
+
+
+def test_closed_form_is_the_product_expansion():
+    for label in ALL_LABELS + labels_of_degree(5) + labels_of_degree(6):
+        assert closed_form(label) == closed_form_with(label, 2 * label[0] + label[1] + 5), label
+
+
+def test_closed_form_transforms_to_the_golden_images():
+    # The closed form and the canonical section differ by a zero-image combination.
+    for key, golden in GOLDEN.items():
+        image = penrose_transform(CochainSection(closed_form(tuple(map(int, key.split(","))))))
+        assert [p.to_string() for p in image.components] == golden["transform"], key
+
+
+def assert_closed_form_round_trip(k):
+    op = build_calibrated(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)))
+    for label in labels_of_degree(k):
+        section = CochainSection(closed_form(label))
+        image = penrose_transform(section)
+        assert _is_hwv_image(image), label  # hwv_test(section), read off its image
+        assert label_of_hwv(section) == IrrepLabel(*label)
+        assert is_monogenic(op, image), label
+
+
+def test_closed_form_round_trip_degree_seven_labels():
+    # Past `penrose hwv`'s degree limit of 6, where the raising solve grows costly.
+    assert len(labels_of_degree(7)) == 10
+    assert_closed_form_round_trip(7)
+
+
+@pytest.mark.slow
+def test_closed_form_round_trip_degree_eight_labels():
+    assert len(labels_of_degree(8)) == 15
+    assert_closed_form_round_trip(8)
 
 
 def test_complete_rejects_negative_labels():

@@ -36,7 +36,7 @@ from graded_algebra import weighted_degree
 
 def transform_is_injective_on(sections):
     # True iff no nonzero rational combination of the sections has zero image.
-    rows = spinor_coefficient_rows([[penrose_transform(section)] for section in sections])
+    rows = spinor_coefficient_rows([penrose_transform(section) for section in sections])
     return not exact_nullspace(rows, n_cols=len(sections))
 
 
