@@ -1,10 +1,14 @@
 """Print the graded decomposition of monogenic spinors, degree by degree.
 
+Each label's row ends with the term count of its highest weight vector in
+closed form (`hwv.closed_form`).
+
 Usage: python scripts/decomposition_table.py [--max-degree K]
 """
 
 import argparse
 
+from monogenic.hwv import closed_form
 from monogenic.repn import decompose_Mk
 
 
@@ -18,7 +22,8 @@ def run(max_degree: int) -> None:
             sl4 = str(desc.sl4_weight)
             print(
                 f"  (a,b,l)=({label.a},{label.b},{label.l})  "
-                f"gl2 {gl2:>12}  sl4 {sl4:>14}  dim {desc.dimension}"
+                f"gl2 {gl2:>12}  sl4 {sl4:>14}  dim {desc.dimension}  "
+                f"terms {len(closed_form((label.a, label.b, label.l)).terms)}"
             )
 
 

@@ -28,35 +28,29 @@ ROOT = Path(__file__).resolve().parent.parent
 _HWV = "src/monogenic/hwv.py"
 _EXPR = "src/monogenic/expr.py"
 _CHARTS = "src/monogenic/charts.py"
+_COCHAIN = "src/monogenic/cochain.py"
 _CODEC = ["tests/test_charts.py::test_term_data_reads_the_twistor_slots_by_name"]
 _ERROR_TABLE = ["tests/test_expr.py::test_parse_errors_give_their_message_and_position"]
-_REVERSED_RREF = "rref([{n - 1 - c: v for c, v in row.items()} for row in _stacked_rows(images)], n)"
-_REVERSED_H = "h = [form.coefficient(e) for e in reversed(exponents)]"
-_READ_BACK = "representative = [at_pivot.get(n - 1 - c, 0) for c in range(n)]"
-_AT_PIVOT = "    at_pivot = {p: sum(r * v for r, v in zip(row, h)) for row, p in zip(reduced, pivots)}\n"
-_FORWARD = ("rref(_stacked_rows(images), n)\n    h = [form.coefficient(e) for e in exponents]\n"
-            f"{_AT_PIVOT}    representative = [at_pivot.get(c, 0) for c in range(n)]")
 _N = "n, c, terms = 2 * a + b + 5,"
 _PINNED_STRINGS = ["tests/test_hwv.py::test_complete_pinned_strings",
                    "tests/test_hwv.py::test_completion_is_the_raising_solve"]
-# Forward and reversed pinning first differ at (0,1,2), a degree-five label.
-_DEGREE_FIVE = ["tests/test_hwv.py::test_completion_is_the_raising_solve",
-                "tests/test_hwv.py::test_completion_image_is_the_transform_of_the_section",
-                "tests/test_hwv.py::test_round_trip_degree_five_labels"]
+_CERTIFICATE = ["tests/test_transform.py::test_equivariance_certificate_holds",
+                "tests/test_transform.py::test_spinor_action_on_a_worked_image"]
 _CLOSED_FORM = ["tests/test_hwv.py::test_closed_form_is_the_product_expansion",
                 "tests/test_hwv.py::test_closed_form_transforms_to_the_golden_images",
                 "tests/test_hwv.py::test_complete_001_exact_value"]
 
 # (name, file, exact old text, new text, tests that must fail)
 MUTANTS = [
-    ("hwv: closed-form coefficients in forward candidate order", _HWV, _REVERSED_H,
-     "h = [form.coefficient(e) for e in exponents]", _PINNED_STRINGS),
-    ("hwv: representative read back without the n - 1 - c un-reversal", _HWV, _READ_BACK,
-     "representative = [at_pivot.get(c, 0) for c in range(n)]", _PINNED_STRINGS),
-    ("hwv: skip reversing the rows", _HWV, _REVERSED_RREF,
-     "rref(_stacked_rows(images), n)", _PINNED_STRINGS),
-    ("hwv: pin the forward free columns", _HWV,
-     f"{_REVERSED_RREF}\n    {_REVERSED_H}\n{_AT_PIVOT}    {_READ_BACK}", _FORWARD, _DEGREE_FIVE),
+    ("hwv: candidates in ascending order", _HWV, "return sorted(out, reverse=True)", "return sorted(out)",
+     _PINNED_STRINGS + ["tests/test_hwv.py::test_candidates_are_descending_and_share_the_lead_weight"]),
+    ("hwv: representative read off the closed form, not the reduced row", _HWV,
+     "{p: sum(v * h[c] for c, v in row.items()) for", "{p: form.coefficient(exponents[p]) for",
+     _PINNED_STRINGS),
+    ("hwv: no leading-shape check", _HWV,
+     "    if body.coefficient_of((\"z0\",), (l,)) != leading_term(a, b, l)[1]:\n", "    if False:\n",
+     ["tests/test_hwv.py::test_completion_rejects_zero_candidate_images",
+      "tests/test_hwv.py::test_completion_rejects_a_scaled_closed_form"]),
     ("hwv: closed form with N = 2a + b + 4", _HWV, _N, "n, c, terms = 2 * a + b + 4,", _CLOSED_FORM),
     ("hwv: closed form with N = 2a + b + 6", _HWV, _N, "n, c, terms = 2 * a + b + 6,", _CLOSED_FORM),
     ("hwv: no certificate check", _HWV,
@@ -67,6 +61,12 @@ MUTANTS = [
     ("hwv: no weight-space check", _HWV,
      "    if not form.terms.keys() <= set(exponents):\n", "    if False:\n",
      ["tests/test_hwv.py::test_completion_rejects_a_closed_form_outside_the_weight_space"]),
+    ("cochain: rho(E23) with the x1_1j sign flipped", _COCHAIN,
+     'f"x1_1{j}": x(f"x1_2{j}", -1)', 'f"x1_1{j}": x(f"x1_2{j}")', _CERTIFICATE),
+    ("cochain: no E12 slot entry", _COCHAIN,
+     '_SPINOR_SLOTS = {"E12": (0, 1), ', "_SPINOR_SLOTS = {", _CERTIFICATE),
+    ("cochain: E12 twist 4 zeta1", _COCHAIN,
+     '_TWISTS = {"E12": _poly({"zeta1": 1}, 5)}', '_TWISTS = {"E12": _poly({"zeta1": 1}, 4)}', _CERTIFICATE),
     ("transform: reach rule degree + 0", "src/monogenic/transform.py",
      "sum(r - 1 for r in poles) <= degree + 1", "sum(r - 1 for r in poles) <= degree + 0",
      ["tests/test_transform.py::test_reach_rule_keeps_every_nonzero_image",

@@ -14,10 +14,10 @@ Closed form: with N = 2a + b + 5, Delta = z11 z22 - z12 z21 and q_i the minor
 
 c_j = [l!/(l-j)!] / [N (N+1) ... (N+j-1)] and h_j the complete homogeneous
 symmetric polynomial of degree j.  H lies in its label's weight space, a
-finite space of candidate monomials.  Candidate c is pinned when the later
-candidates' images span its own, that is when column c is no pivot of the
-image rows read with their columns reversed.  The canonical vector is the
-member of H's class that vanishes at the pinned candidates.
+finite space of candidate monomials listed in descending order.  A candidate
+is pinned when the images of the candidates before it span its own, that is
+when its column is no pivot of the reduced image rows.  The canonical vector
+is the member of H's class that vanishes at the pinned candidates.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _is_hwv_image(image: SpinorField) -> bool:
 
 
 def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
-    """Monomial exponent vectors sharing the weight of the (a, b, l) leading term.
+    """Monomial exponent vectors sharing the weight of the (a, b, l) leading term, descending.
 
     For z0 degree s0 = l - t the z degree is 2a + b + 2t with column sums
     (a+b+t, a+t), and the pole orders are then forced by the row sums:
@@ -61,7 +61,7 @@ def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:
                 poles = (a + b + 1 + t - rows[0], a + 1 + t - rows[1], 1 + t - rows[2])
                 z = tuple(v for pair in zip(col1, col2) for v in pair)  # z11, z12, z21, ...
                 out.append(term_exponents(s0, z, poles))
-    return sorted(set(out))
+    return sorted(out, reverse=True)
 
 
 def closed_form(label: tuple[int, int, int]) -> LaurentPoly:
@@ -81,9 +81,10 @@ def closed_form(label: tuple[int, int, int]) -> LaurentPoly:
 def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
     """The canonical highest weight vector with leading term z0^l D^a z11^b/(zzz).
 
-    It is the closed form reduced to its pinned representative, normalized to
-    leading coefficient one.  Raises InternalCheckError when the closed form
-    leaves the weight space or the image fails the certificate `_is_hwv_image`.
+    It is the closed form reduced to its pinned representative, whose leading
+    coefficient is one.  Raises InternalCheckError when the closed form leaves
+    the weight space, the leading term has the wrong shape or the image fails
+    the certificate `_is_hwv_image`.
     """
     return _complete_with_image(label)[0]
 
@@ -91,9 +92,9 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
 def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, SpinorField]:
     """`hwv_complete` and the transform of its section, summed from the candidate images.
 
-    With R the reduced image rows and h the closed form's coefficients, both in
-    reversed candidate order, the representative is R_p . h at each pivot p and
-    zero at the pinned candidates, so its image is that of the closed form.
+    With R the reduced image rows and h the closed form's coefficients, the
+    representative is R_p . h at each pivot p and zero at the pinned
+    candidates, so its image is that of the closed form.
     """
     a, b, l = label
     IrrepLabel(a, b, l)  # raises PreconditionError on a negative entry
@@ -101,26 +102,15 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
     if not form.terms.keys() <= set(exponents):
         raise InternalCheckError(f"label {label}: a closed-form term lies outside the weight space")
 
-    n = len(exponents)
     images = [penrose_transform(CochainSection.from_terms({e: 1})) for e in exponents]
-    reduced, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in _stacked_rows(images)], n)
-    h = [form.coefficient(e) for e in reversed(exponents)]
-    at_pivot = {p: sum(r * v for r, v in zip(row, h)) for row, p in zip(reduced, pivots)}
-    representative = [at_pivot.get(n - 1 - c, 0) for c in range(n)]
-
-    lead_exps, expected_top = leading_term(a, b, l)
-    lead_coeff = representative[exponents.index(lead_exps)]
-    if not lead_coeff:
-        raise InternalCheckError(f"label {label}: leading coefficient vanished")
-    representative = [v / lead_coeff for v in representative]
-
-    body = LaurentPoly(TWISTOR, dict(zip(exponents, representative)))
-    # The z0-top part must be exactly Delta^a z11^b/(zeta1 zeta2 zeta3).
-    if body.degree_in("z0") != l:
-        raise InternalCheckError(f"label {label}: z0 degree is not {l}")
-    if body.coefficient_of(("z0",), (l,)) != expected_top:
+    reduced, pivots = rref(_stacked_rows(images))
+    h = [form.coefficient(e) for e in exponents]
+    at_pivot = {p: sum(v * h[c] for c, v in row.items()) for row, p in zip(reduced, pivots)}
+    body = LaurentPoly(TWISTOR, {exponents[p]: v for p, v in at_pivot.items()})
+    # The z0-top part must be exactly Delta^a z11^b/(zeta1 zeta2 zeta3), leading coefficient one.
+    if body.coefficient_of(("z0",), (l,)) != leading_term(a, b, l)[1]:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
-    image = SpinorField.combination((c, field) for c, field in zip(representative, images) if c)
+    image = SpinorField.combination((v, images[p]) for p, v in at_pivot.items() if v)
     if not _is_hwv_image(image):
         raise InternalCheckError(f"label {label}: the certificate fails (image zero or not raising-closed)")
     return CochainSection(body), image

@@ -495,8 +495,8 @@ def matrix_rank(rows: list[Row]) -> int:
     return len(_echelon(rows)[1])
 
 
-def rref(rows: list[Row], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals: (nonzero dense rows, pivot columns).
+def rref(rows: list[Row]) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: (nonzero {column: Fraction} rows, pivot columns).
 
     The echelon form is back-reduced from its last pivot up: each row is
     divided by its pivot and cleared at the later pivot columns it touches,
@@ -511,27 +511,27 @@ def rref(rows: list[Row], n_cols: int) -> tuple[list[list[Fraction]], list[int]]
             factor = row[p]
             accumulate(row, ((k, -factor * v) for k, v in reduced[p].items()))
         reduced[c] = row
-    zero = Fraction(0)
-    return [[reduced[c].get(k, zero) for k in range(n_cols)] for c in pivots], pivots
+    return [reduced[c] for c in pivots], pivots
 
 
 def exact_nullspace(rows: list[Row], n_cols: int) -> list[list[Fraction]]:
-    """Basis of the exact right nullspace of a rational matrix with `n_cols` columns.
+    """Basis of the exact right nullspace of a rational matrix with `n_cols` columns, as dense vectors.
 
     Returns one vector per free column f of the reduced row echelon form R:
     v[f] = 1, v[pivot_r] = -R[r][f] and zero at the other free columns.  The
     basis is therefore canonical and its length is the exact nullity.  An
     empty `rows` list means the map is zero and the whole space comes back.
     """
-    reduced, pivots = rref(rows, n_cols)
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
+    zero = Fraction(0)
     basis: list[list[Fraction]] = []
     for f in range(n_cols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * n_cols
+        v = [zero] * n_cols
         v[f] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            v[pc] = -row[f]
+            v[pc] = -row.get(f, zero)
         basis.append(v)
     return basis

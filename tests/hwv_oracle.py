@@ -26,18 +26,19 @@ from monogenic.transform import SpinorField, penrose_transform, spinor_action, s
 def complete_by_solve(label):
     """(section, image) of the canonical highest weight vector of `label`, by the raising solve.
 
-    Candidate c is pinned when column n-1-c is no pivot of the candidate
-    image rows with their columns reversed.  Asserts that the solutions
-    vanishing at the pinned candidates form exactly one line.
+    The candidates are read in ascending order, and candidate c is pinned
+    when column n-1-c is no pivot of the candidate image rows with their
+    columns reversed: the later candidates' images span its own.  Asserts
+    that the solutions vanishing at the pinned candidates form exactly one line.
     """
     a, b, l = label
-    exponents = candidate_exponents(a, b, l)
+    exponents = sorted(candidate_exponents(a, b, l))
     n = len(exponents)
     images = [penrose_transform(CochainSection.from_terms({e: 1})) for e in exponents]
     raised = [[spinor_action(root, image) for image in images] for root in POSITIVE_SIMPLE_ROOTS]
     raising_rows = [row for fields in raised for row in spinor_coefficient_rows(fields)]
     image_rows = spinor_coefficient_rows(images)
-    _, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows], n)
+    _, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows])
     pinned = set(range(n)).difference(n - 1 - p for p in pivots)
     classes = exact_nullspace(raising_rows + [{c: 1} for c in pinned], n_cols=n)
     assert len(classes) == 1, f"label {label}: class dimension {len(classes)}, expected 1"

@@ -15,8 +15,7 @@ from monogenic.dirac import is_monogenic
 from monogenic.hwv import _complete_with_image, _is_hwv_image, candidate_exponents, closed_form
 from monogenic.hwv import hwv_complete, hwv_test
 from monogenic.laurent import InternalCheckError, PreconditionError
-from monogenic.repn import IrrepLabel, label_of_hwv, module_descriptor
-from monogenic.charts import TWISTOR
+from monogenic.repn import IrrepLabel, label_of_hwv, leading_term, module_descriptor
 from monogenic.transform import SpinorField, penrose_transform
 
 from hwv_oracle import closed_form_with, complete_by_solve
@@ -65,16 +64,18 @@ def test_complete_001_exact_value():
     assert hwv_complete((0, 0, 1)) == expected
 
 
-def test_complete_001_candidates_cover_the_weight_space():
-    exps = candidate_exponents(0, 0, 1)
-    assert len(exps) == 10
-    lead = weight_of_monomial(mono(s0=1, poles=(1, 1, 1)))
-    for e in exps:
-        from monogenic.laurent import LaurentPoly
-
-        w = weight_of_monomial(CochainSection(LaurentPoly(TWISTOR, {e: 1})))
-        assert w.gl2 == lead.gl2
-        assert w.gl4_normalized() == lead.gl4_normalized()
+def test_candidates_are_descending_and_share_the_lead_weight():
+    # The completion reads the candidates in this order when it pins them.
+    assert len(candidate_exponents(0, 0, 1)) == 10
+    for label in [label for k in range(7) for label in labels_of_degree(k)]:
+        exps = candidate_exponents(*label)
+        assert all(e > f for e, f in zip(exps, exps[1:])), label  # so no duplicates either
+        lead_exps = leading_term(*label)[0]
+        assert lead_exps in exps, label
+        lead = weight_of_monomial(CochainSection.from_terms({lead_exps: 1}))
+        for e in exps:
+            w = weight_of_monomial(CochainSection.from_terms({e: 1}))
+            assert (w.gl2, w.gl4_normalized()) == (lead.gl2, lead.gl4_normalized()), (label, e)
 
 
 def labels_of_degree(k):
@@ -89,9 +90,11 @@ def labels_of_degree(k):
 ALL_LABELS = [label for k in range(5) for label in labels_of_degree(k)]
 
 
-# Canonical hwv_complete strings for the labels with l >= 1 and degree <= 4.
-# Each label has a trivial subspace of positive dimension, so these pin the
-# representative's reduction modulo it, not only the raising solve.
+# Canonical hwv_complete strings for the labels with l >= 1 and degree <= 4,
+# and for (0, 1, 2).  Each label has a trivial subspace of positive dimension,
+# so these pin the representative's reduction modulo it.  Listing the
+# candidates in ascending order pins other candidates but prints the same
+# strings up to degree four; (0, 1, 2) is the first label where it does not.
 PINNED_BODIES = {
     (0, 1, 1): (
         "z0 * z11 * zeta1^-1 * zeta2^-1 * zeta3^-1 + 1/6 * z11^2 * z22 * "
@@ -143,6 +146,34 @@ PINNED_BODIES = {
         "z21 * z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-2 - 1/5 * z12 * z21 * "
         "z31 * z32 * zeta1^-2 * zeta2^-2 * zeta3^-1 - 1/5 * z12 * z22 * z31^2 * "
         "zeta1^-2 * zeta2^-2 * zeta3^-1 - 2/5 * z21 * z22 * z31 * z32 * "
+        "zeta1^-3 * zeta2^-1 * zeta3^-1"
+    ),
+    (0, 1, 2): (
+        "z0^2 * z11 * zeta1^-1 * zeta2^-1 * zeta3^-1 + 1/3 * z0 * z11^2 * z22 * "
+        "zeta1^-1 * zeta2^-1 * zeta3^-2 - 1/3 * z0 * z11^2 * z32 * zeta1^-1 * "
+        "zeta2^-2 * zeta3^-1 - 1/3 * z0 * z11 * z12 * z21 * zeta1^-1 * zeta2^-1 "
+        "* zeta3^-2 + 1/3 * z0 * z11 * z12 * z31 * zeta1^-1 * zeta2^-2 * "
+        "zeta3^-1 + 1/3 * z0 * z11 * z21 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-1 "
+        "- 1/3 * z0 * z11 * z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-1 + 1/21 * "
+        "z11^3 * z22^2 * zeta1^-1 * zeta2^-1 * zeta3^-3 - 1/21 * z11^3 * z22 * "
+        "z32 * zeta1^-1 * zeta2^-2 * zeta3^-2 + 1/21 * z11^3 * z32^2 * zeta1^-1 "
+        "* zeta2^-3 * zeta3^-1 - 2/21 * z11^2 * z12 * z21 * z22 * zeta1^-1 * "
+        "zeta2^-1 * zeta3^-3 + 1/21 * z11^2 * z12 * z21 * z32 * zeta1^-1 * "
+        "zeta2^-2 * zeta3^-2 + 1/21 * z11^2 * z12 * z22 * z31 * zeta1^-1 * "
+        "zeta2^-2 * zeta3^-2 - 2/21 * z11^2 * z12 * z31 * z32 * zeta1^-1 * "
+        "zeta2^-3 * zeta3^-1 + 1/21 * z11^2 * z21 * z22 * z32 * zeta1^-2 * "
+        "zeta2^-1 * zeta3^-2 - 1/21 * z11^2 * z21 * z32^2 * zeta1^-2 * zeta2^-2 "
+        "* zeta3^-1 - 1/21 * z11^2 * z22^2 * z31 * zeta1^-2 * zeta2^-1 * "
+        "zeta3^-2 + 1/21 * z11^2 * z22 * z31 * z32 * zeta1^-2 * zeta2^-2 * "
+        "zeta3^-1 + 1/21 * z11 * z12^2 * z21^2 * zeta1^-1 * zeta2^-1 * zeta3^-3 "
+        "- 1/21 * z11 * z12^2 * z21 * z31 * zeta1^-1 * zeta2^-2 * zeta3^-2 + "
+        "1/21 * z11 * z12^2 * z31^2 * zeta1^-1 * zeta2^-3 * zeta3^-1 - 1/21 * "
+        "z11 * z12 * z21^2 * z32 * zeta1^-2 * zeta2^-1 * zeta3^-2 + 1/21 * z11 * "
+        "z12 * z21 * z22 * z31 * zeta1^-2 * zeta2^-1 * zeta3^-2 + 1/21 * z11 * "
+        "z12 * z21 * z31 * z32 * zeta1^-2 * zeta2^-2 * zeta3^-1 - 1/21 * z11 * "
+        "z12 * z22 * z31^2 * zeta1^-2 * zeta2^-2 * zeta3^-1 + 1/21 * z11 * z21^2 "
+        "* z32^2 * zeta1^-3 * zeta2^-1 * zeta3^-1 - 2/21 * z11 * z21 * z22 * z31 "
+        "* z32 * zeta1^-3 * zeta2^-1 * zeta3^-1 + 1/21 * z11 * z22^2 * z31^2 * "
         "zeta1^-3 * zeta2^-1 * zeta3^-1"
     ),
 }
@@ -211,6 +242,18 @@ def test_round_trip_degree_six_labels():
         assert complete_by_solve(label) == _complete_with_image(label), label
 
 
+@pytest.mark.slow
+def test_complete_degree_seven_labels():
+    # Past `penrose hwv`'s degree limit of 6: the completion's leading
+    # coefficient is one without any renormalisation, beyond the 30 goldens.
+    assert len(labels_of_degree(7)) == 10
+    for label in labels_of_degree(7):
+        section = hwv_complete(label)
+        assert hwv_test(section), label
+        assert label_of_hwv(section) == IrrepLabel(*label)
+        assert section.body.coefficient(leading_term(*label)[0]) == 1, label
+
+
 def test_completion_is_the_raising_solve():
     # The oracle solves the raising system over the candidates and asserts that
     # its class dimension is 1; the slow degree-six round trip compares the rest.
@@ -232,8 +275,17 @@ def test_completion_image_is_the_transform_of_the_section():
 
 
 def test_completion_rejects_zero_candidate_images(monkeypatch):
+    # Every candidate is pinned, so the representative is zero and has no leading term.
     monkeypatch.setattr(hwv, "penrose_transform", lambda section: SpinorField.zero())
-    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): leading coefficient vanished")):
+    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): leading term has the wrong shape")):
+        hwv_complete((0, 0, 1))
+
+
+def test_completion_rejects_a_scaled_closed_form(monkeypatch):
+    # 2H stays in the weight space and its image passes the certificate; only
+    # the leading-shape check sees that its leading coefficient is 2, not 1.
+    monkeypatch.setattr(hwv, "closed_form", lambda label: closed_form(label).scale(2))
+    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): leading term has the wrong shape")):
         hwv_complete((0, 0, 1))
 
 

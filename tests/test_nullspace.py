@@ -199,13 +199,17 @@ def sparse_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_rref_and_nullspace_match_the_gauss_jordan_oracle(data):
     # The rank is checked against the Bareiss oracle as well, and the
-    # {column: value} form of each row must give the same answers.
+    # {column: value} form of each row must give the same answers.  rref's
+    # rows hold only their nonzero entries; they are widened for the oracle.
     rows, n_cols = data
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
     reduced, pivots = plain_gauss_jordan(rows, n_cols)
     assert matrix_rank(rows) == bareiss_rank(rows, n_cols) == len(pivots)
     assert matrix_rank(sparse) == len(pivots)
-    assert rref(rows, n_cols) == rref(sparse, n_cols) == (reduced, pivots)
+    for rref_rows, rref_pivots in (rref(rows), rref(sparse)):
+        assert rref_pivots == pivots
+        assert all(all(row.values()) for row in rref_rows)
+        assert [[row.get(c, 0) for c in range(n_cols)] for row in rref_rows] == reduced
     assert exact_nullspace(rows, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
     assert exact_nullspace(sparse, n_cols=n_cols) == oracle_nullspace(rows, n_cols)
 
@@ -224,6 +228,6 @@ def test_nullspace_pivots_are_the_columns_the_later_columns_span(data):
     # columns in the span of the later ones, i.e. the non-pivots of the matrix
     # with its columns reversed (the rule that pins hwv candidates).
     rows, n_cols = data
-    _, reversed_pivots = rref([{n_cols - 1 - c: v for c, v in row.items()} for row in rows], n_cols)
+    _, reversed_pivots = rref([{n_cols - 1 - c: v for c, v in row.items()} for row in rows])
     spanned = sorted(set(range(n_cols)).difference(n_cols - 1 - p for p in reversed_pivots))
-    assert spanned == rref(exact_nullspace(rows, n_cols), n_cols)[1]
+    assert spanned == rref(exact_nullspace(rows, n_cols))[1]
