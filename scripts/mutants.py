@@ -29,6 +29,7 @@ _HWV = "src/monogenic/hwv.py"
 _EXPR = "src/monogenic/expr.py"
 _CHARTS = "src/monogenic/charts.py"
 _COCHAIN = "src/monogenic/cochain.py"
+_WEYL = "src/monogenic/weyl.py"
 _CODEC = ["tests/test_charts.py::test_term_data_reads_the_twistor_slots_by_name"]
 _ERROR_TABLE = ["tests/test_expr.py::test_parse_errors_give_their_message_and_position"]
 _N = "n, c, terms = 2 * a + b + 5,"
@@ -36,6 +37,9 @@ _PINNED_STRINGS = ["tests/test_hwv.py::test_complete_pinned_strings",
                    "tests/test_hwv.py::test_completion_is_the_raising_solve"]
 _CERTIFICATE = ["tests/test_transform.py::test_equivariance_certificate_holds",
                 "tests/test_transform.py::test_spinor_action_on_a_worked_image"]
+_KERNEL = ["tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration",
+           "tests/test_dirac.py::test_orbit_count_agrees_with_the_global_rank"]
+_BROKEN_PLAN = ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]
 _CLOSED_FORM = ["tests/test_hwv.py::test_closed_form_is_the_product_expansion",
                 "tests/test_hwv.py::test_closed_form_transforms_to_the_golden_images",
                 "tests/test_hwv.py::test_complete_001_exact_value"]
@@ -97,12 +101,25 @@ MUTANTS = [
     ("dirac: flipped kappa sign", "src/monogenic/dirac.py",
      "return (jv - ju) * wedge_pair_sign(", "return (ju - jv) * wedge_pair_sign(",
      ["tests/test_dirac.py::test_closed_form_bracket_is_the_commutator_bracket"]),
-    ("weyl: _block_rows packs in base k", "src/monogenic/weyl.py",
+    ("weyl: _block_rows packs in base k", _WEYL,
      "radix = [8 * (k + 1) ** t", "radix = [8 * k ** t",
      ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
-    ("weyl: no Weyl certificate call", "src/monogenic/weyl.py",
-     "    _certify_weyl_symmetry(op)\n", "",
-     ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]),
+    ("weyl: no Weyl certificate call", _WEYL, "    _certify_weyl_symmetry(op)\n", "", _BROKEN_PLAN),
+    ("weyl: no distinct-shift check", _WEYL,
+     "        if len({delta for _, delta, _ in slot}) != len(slot):\n"
+     '            raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")\n',
+     "", _BROKEN_PLAN),
+    ("weyl: no plan-weight check", _WEYL,
+     "if any(_output_weight(j, mu, delta) != _unit(2 + nu) for j, mu, _ in outputs):", "if False:",
+     _BROKEN_PLAN),
+    ("weyl: _orbit_size returns 1", _WEYL, "    return size\n", "    return 1\n", _KERNEL),
+    ("weyl: x12 sent to +x12", _WEYL,
+     "{_X12: (_X12, det * (-1 if halves[0] else 1))}", "{_X12: (_X12, 1)}", _KERNEL),
+    ("weyl: output sign +1", _WEYL, "halves, tau, det)", "halves, tau, 1)", _KERNEL),
+    ("weyl: strict GL(4) dominance", _WEYL,
+     ">= f[t + 1] + (t + 1 == nu)", "> f[t + 1] + (t + 1 == nu)", _KERNEL),
+    ("weyl: _dominant_blocks drops the row-1 shift", _WEYL,
+     "w = w0 + w1 + d1 * (base - 1)", "w = w0 + w1", _KERNEL),
     ("charts: term_data swaps the z12 and z21 slots", _CHARTS,
      "exps[1:7]", "(exps[1], exps[3], exps[2], exps[4], exps[5], exps[6])",
      _CODEC + ["tests/test_cochain.py::test_weight_of_monomial_matches_the_name_reading"]),
@@ -115,10 +132,12 @@ MUTANTS = [
      "for p in [k for k in row if k in reduced]:", "for p in [k for k in row if k in reduced][1:]:",
      ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",
       "tests/test_nullspace.py::test_random_50_by_80_rank_nullity"]),
-    ("weyl: _dominant_blocks drops the d0 = d1 splits", "src/monogenic/weyl.py",
+    ("weyl: _dominant_blocks drops the d0 = d1 splits", _WEYL,
      "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):",
      ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
       "tests/test_dirac.py::test_dominant_blocks_count_every_column"]),
+    ("repn: dim_sl4 divides by 6", "src/monogenic/repn.py", "(3 + p + q + r) // 12", "(3 + p + q + r) // 6",
+     ["tests/test_repn.py::test_dim_sl4", "tests/test_repn.py::test_decompose_degree_two"]),
     ("cli: table columns joined by one space", "src/monogenic/cli.py",
      'print(indent + "  ".join(', 'print(indent + " ".join(', ["tests/test_cli_golden.py"]),
     ("cli: no __main__ guard", "src/monogenic/cli.py",

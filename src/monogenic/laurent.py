@@ -193,11 +193,7 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, alphabet: Alphabet, name: str, power: int = 1) -> "LaurentPoly":
-        if name not in alphabet.index:
-            raise ValueError(f"unknown variable {name!r}")
-        exps = [0] * len(alphabet)
-        exps[alphabet.index[name]] = power
-        return cls(alphabet, {tuple(exps): 1})
+        return cls.monomial(alphabet, {name: power})
 
     @classmethod
     def monomial(cls, alphabet: Alphabet, powers: Mapping[str, int], coeff: Scalar = 1) -> "LaurentPoly":
@@ -257,9 +253,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._require_same(other)
         products = (
             (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
@@ -267,8 +261,6 @@ class LaurentPoly:
             for e2, c2 in other.terms.items()
         )
         return LaurentPoly._trusted(self.alphabet, accumulate({}, products))
-
-    __rmul__ = __mul__
 
     def scale(self, scalar: Scalar) -> "LaurentPoly":
         c = Fraction(scalar)
@@ -296,18 +288,12 @@ class LaurentPoly:
         return LaurentPoly._trusted(self.alphabet, {inv: Fraction(1) / coeff})
 
     # ------------------------------------------------------------- operations
-    def substitute(
-        self,
-        bindings: Mapping[str, "LaurentPoly"],
-        target: Alphabet | None = None,
-    ) -> "LaurentPoly":
-        """Compose with `bindings`; unbound variables pass through to `target`.
+    def substitute(self, bindings: Mapping[str, "LaurentPoly"], target: Alphabet) -> "LaurentPoly":
+        """Compose with `bindings` over `target`; unbound variables pass through to it.
 
         A variable appearing with a negative exponent must be bound to an
         invertible monomial (general denominators are out of scope).
         """
-        if target is None:
-            target = next(iter(bindings.values())).alphabet if bindings else self.alphabet
         for name, value in bindings.items():
             if name not in self.alphabet.index:
                 raise ValueError(f"binding for unknown variable {name!r}")

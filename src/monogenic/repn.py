@@ -3,7 +3,7 @@
 Degree-k monogenic spinors decompose, multiplicity free, into the modules
 labeled by (a, b, l) with 2a + b + 2l = k: the gl(2) factor has highest
 weight (5/2 + l + a + b, 5/2 + l + a) and the sl(4) factor (2a+b+1, a+b, a, 0).
-Dimensions come from the classical formulas in exact rational arithmetic and
+Dimensions come from the classical formulas in exact arithmetic and
 cross-validate the nullspace route through the operator matrix.
 """
 
@@ -46,23 +46,11 @@ def dim_gl2(weight: tuple[Scalar, Scalar]) -> int:
 
 
 def dim_sl4(weight: tuple[int, int, int, int]) -> int:
-    """Weyl dimension of the sl(4) irrep with weakly decreasing weight."""
+    """Weyl dimension of the sl(4) irrep with weakly decreasing weight: the Weyl product, in integers."""
     if any(weight[i] < weight[i + 1] for i in range(3)):
         raise PreconditionError(f"sl(4) weight {weight} is not weakly decreasing")
-    p = weight[0] - weight[1]
-    q = weight[1] - weight[2]
-    r = weight[2] - weight[3]
-    value = (
-        Fraction(1 + p)
-        * (1 + q)
-        * (1 + r)
-        * (1 + Fraction(p + q, 2))
-        * (1 + Fraction(q + r, 2))
-        * (1 + Fraction(p + q + r, 3))
-    )
-    if value.denominator != 1:
-        raise InternalCheckError(f"Weyl product for {weight} is not integral: {value}")
-    return int(value)
+    p, q, r = (weight[i] - weight[i + 1] for i in range(3))
+    return (1 + p) * (1 + q) * (1 + r) * (2 + p + q) * (2 + q + r) * (3 + p + q + r) // 12
 
 
 def module_descriptor(label: IrrepLabel) -> ModuleDescriptor:

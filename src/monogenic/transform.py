@@ -51,12 +51,6 @@ class SpinorField(Record):
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)
 
-    def __add__(self, other: "SpinorField") -> "SpinorField":
-        return SpinorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def scale(self, scalar: Scalar) -> "SpinorField":
-        return SpinorField(tuple(p.scale(scalar) for p in self.components))
-
 
 @lru_cache(maxsize=None)
 def _weight_vector() -> tuple[LaurentPoly, ...]:

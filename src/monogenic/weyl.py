@@ -191,9 +191,9 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]
 
     A degree-k monomial is x12^m times monomials of degrees d0 and d1 in the
     six variables of GL(2) rows 0 and 1, and c0 - c1 = d0 - d1, so only
-    d0 >= d1 can be dominant.  Each row's monomials are grouped by weight,
-    and a pair of groups is assembled only for the slots nu that make the
-    sum dominant.  `_echelon`'s cost depends on the order of its rows.
+    d0 >= d1 can be dominant.  One table of monomials by weight serves both
+    rows, and a pair of its groups is assembled only for the slots nu that
+    make the sum dominant.  `_echelon`'s cost depends on the order of its rows.
     """
     if k < 0:
         raise PreconditionError("degree must be non-negative")
@@ -201,12 +201,13 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]
     # every coordinate of a degree-k spinor lies in 0..k+1.
     base = k + 2
     packed = [sum(v * base**t for t, v in enumerate(w)) for w in _VARIABLE_WEIGHTS]
-    tables = [[{} for _ in range(k + 1)] for _ in _ROWS]  # [j][d]: packed weight -> row j's monomials
-    for j, row in enumerate(_ROWS):
-        weights = [packed[s] for s in row]
-        for d in range(k + 1 if j == 0 else k // 2 + 1):  # d1 <= k / 2
-            for a in _compositions(d, len(row)):
-                tables[j][d].setdefault(sum(map(mul, a, weights)), []).append(a)
+    # Row 1's variables weigh as row 0's, position by position, with c1 for c0, so a
+    # row-1 monomial of degree d packs to its row-0 twin plus d * (base - 1).
+    weights = [packed[s] for s in _ROWS[0]]
+    table = [{} for _ in range(k + 1)]  # [d]: packed weight -> row-0 monomials of degree d
+    for d, by_weight in enumerate(table):
+        for a in _compositions(d, len(weights)):
+            by_weight.setdefault(sum(map(mul, a, weights)), []).append(a)
     # Dominance is read off the GL(4) digits of w0 + w1 alone: the GL(2)
     # digits are d0 >= d1, and x12^m adds m to every coordinate.
     slots, gl4 = [base ** (2 + nu) for nu in range(4)], base**2
@@ -214,9 +215,9 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]
     blocks: dict[int, list[tuple[int, Exponents]]] = {}
     for m in range(k // 2 + 1):
         for d1 in range((k - 2 * m) // 2 + 1):
-            for w0, rows0 in tables[0][k - 2 * m - d1].items():
-                for w1, rows1 in tables[1][d1].items():
-                    w = w0 + w1
+            for w0, rows0 in table[k - 2 * m - d1].items():
+                for w1, rows1 in table[d1].items():
+                    w = w0 + w1 + d1 * (base - 1)
                     kept = dominant_slots.get(w // gl4)
                     if kept is None:
                         f = _unpack(w, base)[2:]  # kept: the nu with f + f_nu non-increasing

@@ -203,7 +203,7 @@ def alpha_plane_basis(
             key = (slot, q) if slot < q else (q, slot)
             value = w[slot] if slot < q else -w[slot]
             pair_coeff[key] = pair_coeff.get(key, zero) + value
-        columns.append([sign * pair_coeff.get(pair, zero) for pair, sign in LAMBDA2_BASIS])
+        columns.append([pair_coeff.get(pair, zero).scale(sign) for pair, sign in LAMBDA2_BASIS])
     return PolyMatrix(alphabet, [[columns[c][r] for c in range(3)] for r in range(6)])
 
 

@@ -28,6 +28,7 @@ from monogenic.charts import (
     Z_VARS,
     ZETA_VARS,
     correspondence_substitution,
+    term_data,
 )
 from monogenic.cli import main
 from monogenic.cochain import (
@@ -38,7 +39,7 @@ from monogenic.cochain import (
     weight_of_monomial,
 )
 from monogenic.dirac import graded_kernel_dim, is_monogenic
-from monogenic.hwv import hwv_complete, hwv_test
+from monogenic.hwv import closed_form, hwv_complete, hwv_test
 from monogenic.laurent import LaurentPoly
 from monogenic.repn import decompose_Mk, label_of_hwv
 from monogenic.transform import penrose_transform, spinor_action
@@ -61,8 +62,7 @@ def report(number, text):
     print(f"criterion {number:2d}: PASS - {text}")
 
 
-def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
-    return CochainSection.monomial(s0=s0, z=z, poles=poles, coeff=coeff)
+mono = CochainSection.monomial
 
 
 @pytest.fixture(scope="module")
@@ -246,9 +246,11 @@ def test_c08_hwv_uniqueness_and_round_trip():
         print("  computed:   " + computed.body.to_string())
         print("  reference:  " + reference.body.to_string())
         print("  difference: " + difference.body.to_string())
+        form = closed_form((0, 0, 1))
+        (quadratic,) = {abs(c) for exps, c in form.terms.items() if term_data(exps)[0] == 0}
         print("  note: the reference section fails the E12 class condition"
               " (see penrose-calibration-report.json and the repository notes);"
-              " its quadratic coefficients are 5x the unique solution's")
+              f" its quadratic coefficients are 1, the unique solution's 1/(2a + b + 5) = {quadratic}")
         raised = spinor_action("E12", penrose_transform(reference))
         print("  spinor side: rho(E12) T(reference) is " + ("zero" if raised.is_zero() else "nonzero"))
     assert computed == reference, (

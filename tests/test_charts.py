@@ -100,7 +100,7 @@ def test_alpha_plane_charts_2_and_3_are_null():
                 for i in range(6):
                     for j in range(6):
                         if q[i][j]:
-                            acc = acc + m[i, c1] * m[j, c2] * q[i][j]
+                            acc = acc + (m[i, c1] * m[j, c2]).scale(q[i][j])
                 assert acc.is_zero()
 
 

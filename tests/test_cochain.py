@@ -34,8 +34,7 @@ from cochain_oracle import (
 )
 
 
-def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
-    return CochainSection.monomial(s0=s0, z=z, poles=poles, coeff=coeff)
+mono = CochainSection.monomial
 
 
 def random_monomial(rng, max_pole=4):

@@ -21,8 +21,7 @@ from monogenic.transform import SpinorField, penrose_transform
 from hwv_oracle import closed_form_with, complete_by_solve
 
 
-def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
-    return CochainSection.monomial(s0=s0, z=z, poles=poles, coeff=coeff)
+mono = CochainSection.monomial
 
 
 def test_hwv_examples():

@@ -133,7 +133,7 @@ def test_substitute_expanded_square():
 
 def test_substitute_empty_bindings_is_identity():
     p = poly(MIXED, {(1, 2, -1): Fraction(7, 3)})
-    assert p.substitute({}) == p
+    assert p.substitute({}, MIXED) == p
 
 
 def test_substitute_identity_binding_on_negative_exponent():

@@ -1,6 +1,7 @@
 """Dimension formulas, the graded decomposition table and label readout."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -34,8 +35,14 @@ def test_dim_sl4():
     assert dim_sl4((3, 1, 1, 0)) == 36
     assert dim_sl4((2, 1, 0, 0)) == 20
     assert dim_sl4((0, 0, 0, 0)) == 1
-    with pytest.raises(PreconditionError):
-        dim_sl4((0, 1, 0, 0))
+    # The oracle: prod over the positive roots alpha of <lambda + rho, alpha> / <rho, alpha>.
+    for p, q, r in product(range(21), repeat=3):
+        weyl = (Fraction(1 + p) * (1 + q) * (1 + r) * (1 + Fraction(p + q, 2))
+                * (1 + Fraction(q + r, 2)) * (1 + Fraction(p + q + r, 3)))
+        assert dim_sl4((p + q + r, q + r, r, 0)) == weyl
+    for weight in ((0, 1, 0, 0), (2, 1, 2, 0), (3, 3, 1, 2)):  # one rise at each position
+        with pytest.raises(PreconditionError, match="not weakly decreasing"):
+            dim_sl4(weight)
 
 
 def test_decompose_degree_two():

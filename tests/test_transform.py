@@ -146,8 +146,7 @@ def spinor_to_oracle(field: SpinorField) -> list[dict]:
     return out
 
 
-def mono(s0=0, z=None, poles=(0, 0, 0), coeff=1):
-    return CochainSection.monomial(s0=s0, z=z, poles=poles, coeff=coeff)
+mono = CochainSection.monomial
 
 
 def base_poly(powers, coeff=1):
@@ -248,7 +247,7 @@ def test_linearity():
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
         combo = CochainSection(f.body.scale(a) + g.body.scale(b))
         lhs = penrose_transform(combo)
-        rhs = penrose_transform(f).scale(a) + penrose_transform(g).scale(b)
+        rhs = SpinorField.combination([(a, penrose_transform(f)), (b, penrose_transform(g))])
         assert lhs.components == rhs.components
 
 
