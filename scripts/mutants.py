@@ -6,7 +6,9 @@ applies the mutant there and runs each named test in its own pytest process,
 with `-x`.  A `conftest.py` written into the copy's `tests/` (never into the
 checkout) loads a Hypothesis profile without the shrink phase or an example
 database, so a property that catches the mutant fails within seconds and no
-earlier run decides the result.
+earlier run decides the result.  Each test process keeps its temporary files
+inside the copy, and SIGTERM exits as Ctrl-C does, so nothing of a copy
+outlives the script.
 The named tests must first pass on an unmutated copy.  A mutant is `killed`
 only when every one of its named tests fails; otherwise it `survived`, and the
 tests that still pass are listed.  The last line is `total: ok` only when
@@ -17,6 +19,7 @@ Usage: python scripts/mutants.py
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -29,6 +32,7 @@ _HWV = "src/monogenic/hwv.py"
 _EXPR = "src/monogenic/expr.py"
 _CHARTS = "src/monogenic/charts.py"
 _COCHAIN = "src/monogenic/cochain.py"
+_TRANSFORM = "src/monogenic/transform.py"
 _WEYL = "src/monogenic/weyl.py"
 _CODEC = ["tests/test_charts.py::test_term_data_reads_the_twistor_slots_by_name"]
 _ERROR_TABLE = ["tests/test_expr.py::test_parse_errors_give_their_message_and_position"]
@@ -37,6 +41,7 @@ _PINNED_STRINGS = ["tests/test_hwv.py::test_complete_pinned_strings",
                    "tests/test_hwv.py::test_completion_is_the_raising_solve"]
 _CERTIFICATE = ["tests/test_transform.py::test_equivariance_certificate_holds",
                 "tests/test_transform.py::test_spinor_action_on_a_worked_image"]
+_RHO_ORACLE = ["tests/test_transform.py::test_rho_is_the_oracle_table"]
 _KERNEL = ["tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration",
            "tests/test_dirac.py::test_orbit_count_agrees_with_the_global_rank"]
 _BROKEN_PLAN = ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]
@@ -65,17 +70,19 @@ MUTANTS = [
     ("hwv: no weight-space check", _HWV,
      "    if not form.terms.keys() <= set(exponents):\n", "    if False:\n",
      ["tests/test_hwv.py::test_completion_rejects_a_closed_form_outside_the_weight_space"]),
-    ("cochain: rho(E23) with the x1_1j sign flipped", _COCHAIN,
-     'f"x1_1{j}": x(f"x1_2{j}", -1)', 'f"x1_1{j}": x(f"x1_2{j}")', _CERTIFICATE),
-    ("cochain: no E12 slot entry", _COCHAIN,
-     '_SPINOR_SLOTS = {"E12": (0, 1), ', "_SPINOR_SLOTS = {", _CERTIFICATE),
+    ("transform: rho(E23) with the x1_1j sign flipped", _TRANSFORM,
+     "{u: 1}, sign)", '{u: 1}, -sign if v[:4] == "x1_1" and index[2] == 1 else sign)',
+     _CERTIFICATE + _RHO_ORACLE),
+    ("transform: no E12 slot entry", _TRANSFORM,
+     "for nu in range(4) if index[nu] != nu)", "for nu in range(2, 4) if index[nu] != nu)",
+     _CERTIFICATE + _RHO_ORACLE),
     ("cochain: E12 twist 4 zeta1", _COCHAIN,
      '_TWISTS = {"E12": _poly({"zeta1": 1}, 5)}', '_TWISTS = {"E12": _poly({"zeta1": 1}, 4)}', _CERTIFICATE),
-    ("transform: reach rule degree + 0", "src/monogenic/transform.py",
+    ("transform: reach rule degree + 0", _TRANSFORM,
      "sum(r - 1 for r in poles) <= degree + 1", "sum(r - 1 for r in poles) <= degree + 0",
      ["tests/test_transform.py::test_reach_rule_keeps_every_nonzero_image",
       "tests/test_transform.py::test_reach_rule_boundary_cases"]),
-    ("transform: no SpinorField component count check", "src/monogenic/transform.py",
+    ("transform: no SpinorField component count check", _TRANSFORM,
      "        if type(self.components) is not tuple or len(self.components) != 4:\n"
      '            raise PreconditionError("a spinor field is a tuple of exactly four components")\n',
      "", ["tests/test_laurent.py::test_spinor_field_is_a_tuple_of_four_components"]),
@@ -114,7 +121,7 @@ MUTANTS = [
      _BROKEN_PLAN),
     ("weyl: _orbit_size returns 1", _WEYL, "    return size\n", "    return 1\n", _KERNEL),
     ("weyl: x12 sent to +x12", _WEYL,
-     "{_X12: (_X12, det * (-1 if halves[0] else 1))}", "{_X12: (_X12, 1)}", _KERNEL),
+     '("x12", det * (-1 if halves[0] else 1))', '("x12", 1)', _KERNEL),
     ("weyl: output sign +1", _WEYL, "halves, tau, det)", "halves, tau, 1)", _KERNEL),
     ("weyl: strict GL(4) dominance", _WEYL,
      ">= f[t + 1] + (t + 1 == nu)", "> f[t + 1] + (t + 1 == nu)", _KERNEL),
@@ -125,6 +132,12 @@ MUTANTS = [
      _CODEC + ["tests/test_cochain.py::test_weight_of_monomial_matches_the_name_reading"]),
     ("charts: term_data drops the minus on the zeta2 pole", _CHARTS,
      "-exps[8]", "exps[8]", _CODEC + ["tests/test_hwv.py::test_complete_001_exact_value"]),
+    ("charts: x1 rows paired with e instead of ebar", _CHARTS,
+     "LAMBDA2_BASIS[3 * (2 - b) + i]", "LAMBDA2_BASIS[3 * (b - 1) + i]",
+     _RHO_ORACLE + ["tests/test_dirac.py::test_the_variable_table_is_the_oracle_convention",
+                    "tests/test_dirac.py::test_integer_column_image_is_the_scaled_fraction_image"]),
+    ("charts: the pair move drops its orientation sign", _CHARTS,
+     " * (1 if ta < tb else -1)", "", _KERNEL),
     ("calibration: config_fields flips the epsilon sign", "src/monogenic/calibration.py",
      'sign = "+1" if config.epsilon > 0 else "-1"', 'sign = "-1" if config.epsilon > 0 else "+1"',
      ["tests/test_cli.py::test_calibrate_writes_config_and_report", "tests/test_cli_golden.py"]),
@@ -170,7 +183,7 @@ def run_tests(groups: list[list[str]], mutant: tuple[str, str, str] | None = Non
             if text.count(old) != 1:
                 raise SystemExit(f"{file}: the mutant's old text occurs {text.count(old)} times, not once")
             (copy / file).write_text(text.replace(old, new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1", TMPDIR=tmp)
         return [
             subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
@@ -181,6 +194,8 @@ def run_tests(groups: list[list[str]], mutant: tuple[str, str, str] | None = Non
 
 
 def main() -> int:
+    # SIGTERM raises SystemExit, which unwinds through `TemporaryDirectory` and removes the copy.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     start = time.perf_counter()
     # A mutant counts as killed only if the same tests pass without it.
     named = sorted({test for *_, tests in MUTANTS for test in tests})

@@ -18,6 +18,7 @@ by matrix products and checks that the frames are totally null.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,12 +26,44 @@ from .laurent import Alphabet, Exponents, LaurentPoly, Scalar
 
 ZETA_VARS = ("zeta1", "zeta2", "zeta3")
 Z_VARS = ("z11", "z12", "z21", "z22", "z31", "z32")
-X1_VARS = ("x1_11", "x1_12", "x1_21", "x1_22", "x1_31", "x1_32")
-X2_VARS = ("x2_11", "x2_12", "x2_21", "x2_22", "x2_31", "x2_32")
+
+# Basis of Lambda^2 C^4 matching {e3, e4, e5, ebar3, ebar4, ebar5}: each row is
+# (index pair (i, j) with i < j, sign), i.e. ebar4 corresponds to -f1^f3.
+LAMBDA2_BASIS = (
+    ((0, 1), 1),
+    ((0, 2), 1),
+    ((0, 3), 1),
+    ((2, 3), 1),
+    ((1, 3), -1),
+    ((1, 2), 1),
+)
+
+# The one statement of the base variables' GL(2) x GL(4) convention: each linear
+# variable x{b}_{ij} -> (its GL(2) column j - 1, its signed LAMBDA2_BASIS pair).
+# Row i of X1 takes ebar_{i+2} and row i of X2 takes e_{i+2}.
+LINEAR_VARIABLES = {
+    f"x{b}_{i + 1}{j + 1}": (j, LAMBDA2_BASIS[3 * (2 - b) + i])
+    for b in (1, 2) for i in range(3) for j in range(2)
+}
+_VARIABLE_OF_PAIR = {(j, pair): name for name, (j, (pair, _)) in LINEAR_VARIABLES.items()}
 
 TWISTOR = Alphabet(("z0",) + Z_VARS + ZETA_VARS, negatives=ZETA_VARS)
-BASE = Alphabet(("x12",) + X1_VARS + X2_VARS)
+BASE = Alphabet(("x12", *LINEAR_VARIABLES))
 CORRESPONDENCE = Alphabet(BASE.names + ZETA_VARS, negatives=ZETA_VARS)
+
+
+def move_pair(name: str, index: Sequence[int], column: int | None = None) -> tuple[str, int] | None:
+    """(target, sign) with s f_index[a]^f_index[b] = sign * (target's signed pair), s f_a^f_b name's.
+
+    The target lies in GL(2) column `column`, by default name's own; None when
+    index[a] == index[b], so that the moved 2-form is zero.
+    """
+    j, ((a, b), sign) = LINEAR_VARIABLES[name]
+    ta, tb = index[a], index[b]
+    if ta == tb:
+        return None
+    target = _VARIABLE_OF_PAIR[j if column is None else column, (min(ta, tb), max(ta, tb))]
+    return target, sign * LINEAR_VARIABLES[target][1][1] * (1 if ta < tb else -1)
 
 
 def term_data(exps: Exponents) -> tuple[int, Exponents, tuple[int, int, int]]:
@@ -45,18 +78,6 @@ def term_data(exps: Exponents) -> tuple[int, Exponents, tuple[int, int, int]]:
 def term_exponents(s0: int, z: Exponents, poles: tuple[int, int, int]) -> Exponents:
     """The TWISTOR exponent vector of the monomial with data (s0, z, poles)."""
     return (s0, *z, *(-r for r in poles))
-
-
-# Basis of Lambda^2 C^4 matching {e3, e4, e5, ebar3, ebar4, ebar5}: each row is
-# (index pair (i, j) with i < j, sign), i.e. ebar4 corresponds to -f1^f3.
-LAMBDA2_BASIS = (
-    ((0, 1), 1),
-    ((0, 2), 1),
-    ((0, 3), 1),
-    ((2, 3), 1),
-    ((1, 3), -1),
-    ((1, 2), 1),
-)
 
 
 def _levi_civita(i: int, k: int) -> tuple[int, int]:

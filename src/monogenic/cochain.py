@@ -18,8 +18,8 @@ with every unlisted derivative zero, plus the line-bundle twist 5*zeta1*f on
 each E12 application.  The E12/zeta1 entry is forced by the raising-chain
 coefficients (the test oracle `tests/cochain_oracle.py`) and by the
 highest-weight completions; see the repository README for the calibration
-story.  `_SPINOR_TABLES` and `_SPINOR_SLOTS` hold the matching action rho of
-the positive simple roots on transforms (`transform.spinor_action`).
+story.  The matching action rho of the positive simple roots on transforms is
+`transform.spinor_action`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .charts import BASE, TWISTOR, Z_VARS, term_data, term_exponents
+from .charts import TWISTOR, Z_VARS, term_data, term_exponents
 from .laurent import LaurentPoly, PreconditionError, Record, Scalar
 
 POSITIVE_SIMPLE_ROOTS = ("A12", "E12", "E23", "E34")
@@ -140,26 +140,6 @@ def _build_tables() -> dict[str, dict[str, LaurentPoly]]:
 
 _TABLES = _build_tables()
 _TWISTS = {"E12": _poly({"zeta1": 1}, 5)}
-
-
-def _build_spinor_tables() -> dict[str, dict[str, LaurentPoly]]:
-    """rho(E) of each positive simple root as {x_v: c x_u}, the vector field sum c x_u d/dx_v."""
-    def x(name: str, coeff: Scalar = 1) -> LaurentPoly:
-        return LaurentPoly.monomial(BASE, {name: 1}, coeff)
-
-    tables = {"A12": {f"x{b}_{i}2": x(f"x{b}_{i}1") for b in (1, 2) for i in (1, 2, 3)}}
-    tables["E12"], tables["E23"], tables["E34"] = {}, {}, {}
-    for j in (1, 2):
-        tables["E12"].update({f"x1_3{j}": x(f"x2_2{j}"), f"x1_2{j}": x(f"x2_3{j}", -1)})
-        tables["E23"].update({f"x2_2{j}": x(f"x2_1{j}"), f"x1_1{j}": x(f"x1_2{j}", -1)})
-        tables["E34"].update({f"x2_3{j}": x(f"x2_2{j}"), f"x1_2{j}": x(f"x1_3{j}", -1)})
-    return tables
-
-
-# The spinor-side action rho(E): the vector field on BASE applied to every
-# component, plus component m += component nu for a slot entry (m, nu).
-_SPINOR_TABLES = _build_spinor_tables()
-_SPINOR_SLOTS = {"E12": (0, 1), "E23": (1, 2), "E34": (2, 3)}
 
 
 def apply_derivation(table: Mapping[str, LaurentPoly], poly: LaurentPoly) -> LaurentPoly:

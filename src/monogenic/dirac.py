@@ -8,14 +8,14 @@ vector fields of the 2-step graded group in exponential coordinates,
     V = d/dx^k_ij + epsilon * (1/2) * sum_v kappa([u_v, u]) x_v * d/dx12,
 
 with the central structure constants kappa in closed form: the bracket of two
-grade -1 basis elements (block, i, j) is the symplectic form on their C^2
-column index times the wedge pairing of their directions in C^6 = Lambda^2 C^4,
-kappa([u_v, u]) = (j_v - j_u) * (dir v ^ dir u) / vol, so each direction u has
-the single partner v = (3 - block, i, 1 - j).  Each derivative is paired with
-the Clifford matrix of its metric-dual direction (X1 rows pair with ebar
-directions, X2 rows with e directions); the one genuinely free sign epsilon
-and an overall Clifford normalization are pinned by calibration against known
-monogenic spinors (see calibration.py).
+grade -1 basis elements u and v, one per linear variable, is the symplectic
+form on their GL(2) columns times the wedge pairing of their signed pairs in
+C^6 = Lambda^2 C^4, kappa([u_v, u]) = (j_v - j_u) * (pair v ^ pair u) / vol,
+so each u has a single partner v: same row, other block, other column.  Each
+derivative d/dx_u is paired with the Clifford matrix of u's signed pair, the
+metric dual of its direction; both read `charts.LINEAR_VARIABLES`.  The one
+genuinely free sign epsilon and an overall Clifford normalization are pinned
+by calibration against known monogenic spinors (see calibration.py).
 
 The operator is homogeneous of degree -1 for deg(x12)=2, deg(x^k_ij)=1, which
 is what makes the graded kernels finite-dimensional and exactly computable.
@@ -32,16 +32,9 @@ from itertools import combinations, product
 from operator import add
 from typing import Iterator
 
-from .charts import BASE, LAMBDA2_BASIS
+from .charts import BASE, LINEAR_VARIABLES
 from .laurent import Exponents, LaurentPoly, PreconditionError, Record, Scalar, accumulate
 from .transform import SpinorField
-
-DIRECTIONS = ("e3", "e4", "e5", "eb3", "eb4", "eb5")
-
-# Images of the six null directions in Lambda^2 C^4: (index pair, sign).
-LAMBDA2_IMAGE = dict(zip(DIRECTIONS, LAMBDA2_BASIS))
-
-DUAL_DIRECTION = {"e3": "eb3", "e4": "eb4", "e5": "eb5", "eb3": "e3", "eb4": "e4", "eb5": "e5"}
 
 
 def _volume_coefficient(indices: tuple[int, int, int, int]) -> int:
@@ -59,40 +52,28 @@ def wedge_pair_sign(a: tuple[tuple[int, int], int], b: tuple[tuple[int, int], in
 
 
 @lru_cache(maxsize=None)
-def clifford_matrix(direction: str) -> tuple[tuple[int, ...], ...]:
-    """4x4 matrix of wedging by the direction: S+ -> S- ~ (C^4)*.
+def clifford_matrix(pair: tuple[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """4x4 matrix of wedging by the signed 2-form s f_i^f_j: S+ -> S- ~ (C^4)*.
 
-    Entry (mu, nu) is the coefficient of the volume form in
-    image(direction) ^ f_nu ^ f_mu.
+    Entry (mu, nu) is the coefficient of the volume form in s f_i^f_j ^ f_nu ^ f_mu.
     """
-    (i, j), sign = LAMBDA2_IMAGE[direction]
+    (i, j), sign = pair
     return tuple(
         tuple(sign * _volume_coefficient((i, j, nu, mu)) for nu in range(4)) for mu in range(4)
     )
 
 
 # -------------------------------------------------- grade -1 structure constants
-def _basis_var(block: int, i: int, j: int) -> str:
-    return f"x{block}_{i + 1}{j + 1}"
-
-
-def _direction(block: int, i: int) -> str:
-    """The direction paired with d/dx{block}_{i+1}j: X1 rows pair with ebar, X2 rows with e."""
-    return DUAL_DIRECTION[f"e{i + 3}"] if block == 1 else f"e{i + 3}"
-
-
-def central_bracket(v: tuple[int, int, int], u: tuple[int, int, int]) -> int:
+def central_bracket(v: str, u: str) -> int:
     """kappa([u_v, u]): the x12 coefficient of the bracket of two grade -1 basis elements.
 
-    A basis element (block, i, j) is the unit in row i, column j of X1 or X2.
-    The bracket is the symplectic form on the column index (C^2) times the
-    wedge pairing of the two directions in Lambda^2 C^4 (C^6), so it is
-    nonzero only for v = (3 - block, i, 1 - j).
+    The basis element of a linear variable is the unit at its place in X1 or
+    X2.  The bracket is the symplectic form on the GL(2) columns (C^2) times
+    the wedge pairing of the two variables' pairs in Lambda^2 C^4 (C^6), so it
+    is nonzero only for the variable of the complementary pair in the other column.
     """
-    (bv, iv, jv), (bu, iu, ju) = v, u
-    return (jv - ju) * wedge_pair_sign(
-        LAMBDA2_IMAGE[_direction(bv, iv)], LAMBDA2_IMAGE[_direction(bu, iu)]
-    )
+    (jv, pv), (ju, pu) = LINEAR_VARIABLES[v], LINEAR_VARIABLES[u]
+    return (jv - ju) * wedge_pair_sign(pv, pu)
 
 
 class DiracOperator(Record):
@@ -121,9 +102,10 @@ def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:
     x12 = BASE.index["x12"]
     weights: list[dict[tuple[int, Exponents], dict[tuple[int, int], Fraction]]] = [{}, {}, {}, {}]
     for j, i, block in product(range(2), range(3), (1, 2)):
-        matrix = clifford_matrix(_direction(block, i))
-        u, v = (block, i, j), (3 - block, i, 1 - j)  # v: the one partner with a nonzero bracket
-        x_u, x_v = BASE.index[_basis_var(*u)], BASE.index[_basis_var(*v)]
+        u = f"x{block}_{i + 1}{j + 1}"
+        v = next(v for v in LINEAR_VARIABLES if central_bracket(v, u))  # the one partner
+        matrix = clifford_matrix(LINEAR_VARIABLES[u][1])
+        x_u, x_v = BASE.index[u], BASE.index[v]
         shifts = (
             (x_u, tuple(-(s == x_u) for s in range(len(BASE))), norm),
             (x12, tuple((s == x_v) - (s == x12) for s in range(len(BASE))),

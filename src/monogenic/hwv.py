@@ -22,6 +22,7 @@ is the member of H's class that vanishes at the pinned candidates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .charts import TWISTOR, term_exponents
@@ -30,7 +31,6 @@ from .dirac import _compositions
 from .laurent import Exponents, InternalCheckError, LaurentPoly, rref
 from .repn import IrrepLabel, leading_term
 from .transform import SpinorField, penrose_transform, spinor_action
-from .transform import spinor_coefficient_rows as _stacked_rows
 
 
 def hwv_test(section: CochainSection) -> bool:
@@ -43,6 +43,19 @@ def _is_hwv_image(image: SpinorField) -> bool:
     return not image.is_zero() and all(
         spinor_action(root, image).is_zero() for root in POSITIVE_SIMPLE_ROOTS
     )
+
+
+def _stacked_rows(columns: Sequence[SpinorField]) -> list[dict[int, Fraction]]:
+    """Exact coefficient matrix of one spinor field per column, as sparse rows.
+
+    One row {column: coefficient} per (component, monomial) that occurs, in order of first occurrence.
+    """
+    rows: dict[tuple[int, Exponents], dict[int, Fraction]] = {}
+    for col, field in enumerate(columns):
+        for m, p in enumerate(field.components):
+            for e, c in p.terms.items():
+                rows.setdefault((m, e), {})[col] = c
+    return list(rows.values())
 
 
 def candidate_exponents(a: int, b: int, l: int) -> list[Exponents]:

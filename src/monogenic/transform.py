@@ -13,12 +13,11 @@ deg(x12) = 2 and deg(x1_ij) = deg(x2_ij) = 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
-from .charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution, term_data
-from .cochain import POSITIVE_SIMPLE_ROOTS, _SPINOR_SLOTS, _SPINOR_TABLES, _TABLES, _TWISTS
-from .cochain import CochainSection, apply_derivation
+from .charts import BASE, CORRESPONDENCE, LINEAR_VARIABLES, TWISTOR, Z_VARS, ZETA_VARS, move_pair
+from .charts import correspondence_substitution, term_data
+from .cochain import POSITIVE_SIMPLE_ROOTS, _TABLES, _TWISTS, CochainSection, apply_derivation
 from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record, Scalar
 
 
@@ -88,19 +87,6 @@ def penrose_transform(section: CochainSection) -> SpinorField:
     return SpinorField(tuple(components))
 
 
-def spinor_coefficient_rows(columns: Sequence[SpinorField]) -> list[dict[int, Fraction]]:
-    """Exact coefficient matrix of one spinor field per column, as sparse rows.
-
-    One row {column: coefficient} per (component, monomial) that occurs, in order of first occurrence.
-    """
-    rows: dict[tuple[int, Exponents], dict[int, Fraction]] = {}
-    for col, field in enumerate(columns):
-        for m, p in enumerate(field.components):
-            for e, c in p.terms.items():
-                rows.setdefault((m, e), {})[col] = c
-    return list(rows.values())
-
-
 @lru_cache(maxsize=None)
 def _certify_transform_equivariance() -> None:
     """Certify, exactly and once, that T(E.s) = rho(E) T(s) for every section s.
@@ -120,26 +106,51 @@ def _certify_transform_equivariance() -> None:
     for root in POSITIVE_SIMPLE_ROOTS:
         table = {name: value.substitute(phi, CORRESPONDENCE) for name, value in _TABLES[root].items()}
         fibre = {name: value for name, value in table.items() if name in ZETA_VARS}  # V_E
-        rho = {name: value.project(CORRESPONDENCE) for name, value in _SPINOR_TABLES[root].items()}
+        field, slot = _RHO[root]
+        rho = {name: value.project(CORRESPONDENCE) for name, value in field.items()}
         for z in ("z0",) + Z_VARS:  # rho_vf(E) + V_E, on disjoint variables
             if table.get(z, zero) != apply_derivation(rho | fibre, phi[z]):
                 raise InternalCheckError(f"{root}: rho does not match the action on {z}")
         twist = _TWISTS[root].substitute(phi, CORRESPONDENCE) if root in _TWISTS else zero
         divergence = LaurentPoly.sum(CORRESPONDENCE, (v.derivative(k) for k, v in fibre.items()))
-        slot = _SPINOR_SLOTS.get(root)
         for m, w in enumerate(weights):
             residual = (twist - divergence) * w - apply_derivation(fibre, w)
             if residual != (weights[slot[1]] if slot and slot[0] == m else zero):
                 raise InternalCheckError(f"{root}: the residue term of component {m} is not its slot entry")
 
 
+def _root_action(
+    index: Sequence[int], column: int | None = None
+) -> tuple[dict[str, LaurentPoly], tuple[int, int] | None]:
+    """rho of the root that sends f_q to f_index[q] and, given `column`, the other GL(2) column to it.
+
+    The vector field {x_v: c x_u}, sum c x_u d/dx_v, moves each variable the
+    root changes: x_u is the variable of v's moved pair (`charts.move_pair`), c
+    its sign.  The slot entry (m, nu), component m += component nu, moves f_nu to f_m.
+    """
+    field = {}
+    for v in LINEAR_VARIABLES:
+        u, sign = move_pair(v, index, column) or (v, 0)
+        if u != v:
+            field[v] = LaurentPoly.monomial(BASE, {u: 1}, sign)
+    return field, next(((index[nu], nu) for nu in range(4) if index[nu] != nu), None)
+
+
+# rho(E) of each positive simple root, applied to every component of a transform.  A12 moves
+# GL(2) column 2 to column 1, and E_{a+1,a+2} sends f_{a+1} to f_a, in each pair and on the slots.
+_RHO = {"A12": _root_action(range(4), 0)} | {
+    f"E{a + 1}{a + 2}": _root_action([a if q == a + 1 else q for q in range(4)]) for a in range(3)
+}
+
+
 def spinor_action(root: str, field: SpinorField) -> SpinorField:
     """rho(E) for a positive simple root E: spinor_action(E, T(s)) = T(g0_action(E, s)), certified once."""
-    if root not in _SPINOR_TABLES:
+    if root not in _RHO:
         raise PreconditionError(f"no spinor-side action for the root {root!r}")
     _certify_transform_equivariance()
-    components = [apply_derivation(_SPINOR_TABLES[root], p) for p in field.components]
-    if root in _SPINOR_SLOTS:
-        m, nu = _SPINOR_SLOTS[root]
+    vector_field, slot = _RHO[root]
+    components = [apply_derivation(vector_field, p) for p in field.components]
+    if slot:
+        m, nu = slot
         components[m] = components[m] + field.components[nu]
     return SpinorField(tuple(components))

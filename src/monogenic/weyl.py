@@ -19,16 +19,8 @@ from itertools import product
 from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
-from .charts import BASE
-from .dirac import (
-    LAMBDA2_IMAGE,
-    DiracOperator,
-    _basis_var,
-    _column_image,
-    _compositions,
-    _direction,
-    _volume_coefficient,
-)
+from .charts import BASE, LINEAR_VARIABLES, move_pair
+from .dirac import DiracOperator, _column_image, _compositions, _volume_coefficient
 from .laurent import Exponents, InternalCheckError, PreconditionError, Record, matrix_rank
 
 
@@ -38,21 +30,20 @@ def _unit(*axes: int) -> tuple[int, ...]:
 
 
 _X12 = BASE.index["x12"]
-_LINEAR = {BASE.index[_basis_var(*u)]: u for u in product((1, 2), range(3), range(2))}
-_VARIABLE_OF_DIRECTION = {_direction(b, i): (b, i) for b, i in product((1, 2), range(3))}
-_DIRECTION_OF_PAIR = {pair: d for d, (pair, _) in LAMBDA2_IMAGE.items()}
 
-# x_{block,i,j} weighs c_j + f_a + f_b, (a, b) the pair of its direction; x12 weighs (1, 1 | 1, 1, 1, 1).
-_VARIABLE_WEIGHTS = tuple(
-    _unit(0, 1, 2, 3, 4, 5) if s == _X12
-    else _unit(_LINEAR[s][2], *(2 + a for a in LAMBDA2_IMAGE[_direction(*_LINEAR[s][:2])][0]))
-    for s in range(len(BASE))
+# In BASE order: x12 weighs (1, 1 | 1, 1, 1, 1), and a linear variable in column j with the pair
+# (a, b) weighs c_j + f_a + f_b.
+_VARIABLE_WEIGHTS = (_unit(0, 1, 2, 3, 4, 5),) + tuple(
+    _unit(j, 2 + a, 2 + b) for j, ((a, b), _) in LINEAR_VARIABLES.values()
 )
 
 
 # The six variables of each GL(2) row j (column j of X1 and X2), in BASE order;
 # _place puts the exponents of x12, row 0 and row 1, concatenated, in BASE order.
-_ROWS = tuple(tuple(s for s in _LINEAR if _LINEAR[s][2] == j) for j in range(2))
+_ROWS = tuple(
+    tuple(BASE.index[name] for name, (column, _) in LINEAR_VARIABLES.items() if column == j)
+    for j in range(2)
+)
 _place = itemgetter(*map(((_X12,) + _ROWS[0] + _ROWS[1]).index, range(len(BASE))))
 
 
@@ -111,19 +102,15 @@ class WeylGenerator(Record):
 def _weyl_generator(halves: tuple[int, int], tau: tuple[int, int, int, int]) -> WeylGenerator:
     """The generator that permutes the GL(2) axes by `halves` and the GL(4) axes by `tau`.
 
-    A variable's direction, the signed 2-form s f_a^f_b, goes to
-    s f_tau(a)^f_tau(b), a signed basis direction; x12, of top weight, takes
-    the signs of both permutations, and every output the sign of tau.
+    A variable in column j with the signed pair s f_a^f_b goes to the one in
+    column halves[j] with the pair of s f_tau(a)^f_tau(b) (`charts.move_pair`);
+    x12, of top weight, takes the signs of both permutations, and every output
+    the sign of tau.
     """
     det = _volume_coefficient(tau)  # the sign of tau
-    variables = {_X12: (_X12, det * (-1 if halves[0] else 1))}
-    for s, (block, i, j) in _LINEAR.items():
-        (a, b), sign = LAMBDA2_IMAGE[_direction(block, i)]
-        ta, tb = tau[a], tau[b]
-        direction = _DIRECTION_OF_PAIR[min(ta, tb), max(ta, tb)]
-        target = BASE.index[_basis_var(*_VARIABLE_OF_DIRECTION[direction], halves[j])]
-        variables[s] = (target, sign * LAMBDA2_IMAGE[direction][1] * (1 if ta < tb else -1))
-    return WeylGenerator(tuple(variables[s] for s in range(len(BASE))), halves, tau, det)
+    images = [("x12", det * (-1 if halves[0] else 1))]  # BASE is x12, then the linear variables
+    images += [move_pair(name, tau, halves[j]) for name, (j, _) in LINEAR_VARIABLES.items()]
+    return WeylGenerator(tuple((BASE.index[t], sign) for t, sign in images), halves, tau, det)
 
 
 # The swap of S2 and the three adjacent transpositions of S4 generate S2 x S4.

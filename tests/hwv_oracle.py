@@ -17,10 +17,10 @@ from math import prod
 
 from monogenic.charts import TWISTOR
 from monogenic.cochain import POSITIVE_SIMPLE_ROOTS, CochainSection
-from monogenic.hwv import candidate_exponents
+from monogenic.hwv import _stacked_rows, candidate_exponents
 from monogenic.laurent import LaurentPoly, exact_nullspace, rref
 from monogenic.repn import leading_term
-from monogenic.transform import SpinorField, penrose_transform, spinor_action, spinor_coefficient_rows
+from monogenic.transform import SpinorField, penrose_transform, spinor_action
 
 
 def complete_by_solve(label):
@@ -36,8 +36,8 @@ def complete_by_solve(label):
     n = len(exponents)
     images = [penrose_transform(CochainSection.from_terms({e: 1})) for e in exponents]
     raised = [[spinor_action(root, image) for image in images] for root in POSITIVE_SIMPLE_ROOTS]
-    raising_rows = [row for fields in raised for row in spinor_coefficient_rows(fields)]
-    image_rows = spinor_coefficient_rows(images)
+    raising_rows = [row for fields in raised for row in _stacked_rows(fields)]
+    image_rows = _stacked_rows(images)
     _, pivots = rref([{n - 1 - c: v for c, v in row.items()} for row in image_rows])
     pinned = set(range(n)).difference(n - 1 - p for p in pivots)
     classes = exact_nullspace(raising_rows + [{c: 1} for c in pinned], n_cols=n)

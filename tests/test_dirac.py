@@ -14,13 +14,10 @@ from monogenic.calibration import (
     find_calibration,
     reference_monogenic_spinors,
 )
-from monogenic.charts import BASE, Z_VARS
+from monogenic.charts import BASE, LINEAR_VARIABLES, Z_VARS
 from monogenic.cochain import CochainSection
 from monogenic.dirac import (
-    DUAL_DIRECTION,
-    LAMBDA2_IMAGE,
     DiracOperator,
-    _basis_var,
     _column_image,
     apply_2dirac,
     build_dirac,
@@ -68,6 +65,20 @@ def spinor(*components):
     return SpinorField(tuple(components))
 
 
+# The oracle's own statement of the convention: the six null directions of
+# C^6 = Lambda^2 C^4 as signed 2-forms, and the direction of each grade -1
+# basis element (block, row): X1 rows take the ebar directions, X2 rows the e ones.
+LAMBDA2_IMAGE = {
+    "e3": ((0, 1), 1), "e4": ((0, 2), 1), "e5": ((0, 3), 1),
+    "eb3": ((2, 3), 1), "eb4": ((1, 3), -1), "eb5": ((1, 2), 1),
+}
+DIRECTION = {(1, i): f"eb{i + 3}" for i in range(3)} | {(2, i): f"e{i + 3}" for i in range(3)}
+
+
+def basis_var(block, i, j):
+    return f"x{block}_{i + 1}{j + 1}"
+
+
 @lru_cache(maxsize=None)
 def fraction_stencils(epsilon, clifford_norm):
     # Oracle: the operator written down as Fraction stencils, independently of
@@ -78,12 +89,15 @@ def fraction_stencils(epsilon, clifford_norm):
     return tuple(
         tuple(
             (
-                tuple(tuple(clifford_norm * v for v in row) for row in clifford_matrix(direction)),
-                _basis_var(block, i, j),
+                tuple(
+                    tuple(clifford_norm * v for v in row)
+                    for row in clifford_matrix(LAMBDA2_IMAGE[DIRECTION[block, i]])
+                ),
+                basis_var(block, i, j),
                 corrections[block, i, j].scale(epsilon),
             )
             for i in range(3)
-            for block, direction in ((1, DUAL_DIRECTION[f"e{i + 3}"]), (2, f"e{i + 3}"))
+            for block in (1, 2)
         )
         for j in range(2)
     )
@@ -179,16 +193,24 @@ def global_kernel_dim(op, k):
     return len(images) - matrix_rank(images)
 
 
+def test_the_variable_table_is_the_oracle_convention():
+    assert LINEAR_VARIABLES == {
+        basis_var(block, i, j): (j, LAMBDA2_IMAGE[DIRECTION[block, i]])
+        for block in (1, 2) for i in range(3) for j in range(2)
+    }
+    assert BASE.names == ("x12", *LINEAR_VARIABLES)
+
+
 def test_clifford_wedge_examples():
-    c = clifford_matrix("e3")
+    c = clifford_matrix(LAMBDA2_IMAGE["e3"])
     # f0^f1 wedged with f2 pairs against f3 positively; with f0 it vanishes.
     assert [c[mu][2] for mu in range(4)] == [0, 0, 0, 1]
     assert [c[mu][0] for mu in range(4)] == [0, 0, 0, 0]
 
 
 def test_clifford_matrices_have_two_entries_each():
-    for d in ("e3", "e4", "e5", "eb3", "eb4", "eb5"):
-        c = clifford_matrix(d)
+    for pair in LAMBDA2_IMAGE.values():
+        c = clifford_matrix(pair)
         assert sum(1 for row in c for v in row if v) == 2
 
 
@@ -310,7 +332,7 @@ def test_closed_form_bracket_is_the_commutator_bracket():
             bracket = matrix_commutator(basis_matrix(*v), basis_matrix(*u))
             outside = [bracket[r][c] for r in range(10) for c in range(10) if r < 8 or c > 1]
             assert not any(outside), (v, u)
-            assert central_bracket(v, u) == center_coefficient(bracket), (v, u)
+            assert central_bracket(basis_var(*v), basis_var(*u)) == center_coefficient(bracket), (v, u)
     # The operator carries epsilon * kappa/2 * x_v on every d/dx12: the image
     # of x12 in each slot is exactly the oracle's.
     (x12,) = LaurentPoly.variable(BASE, "x12").terms

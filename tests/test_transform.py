@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from monogenic import cochain
+from monogenic import cochain, transform
 from monogenic.charts import BASE, CORRESPONDENCE, TWISTOR, Z_VARS, ZETA_VARS, correspondence_substitution
 from monogenic.cochain import (
     POSITIVE_SIMPLE_ROOTS,
@@ -28,15 +28,15 @@ from monogenic.transform import (
     _certify_transform_equivariance,
     penrose_transform,
     spinor_action,
-    spinor_coefficient_rows,
 )
+from monogenic.hwv import _stacked_rows
 
 from graded_algebra import weighted_degree
 
 
 def transform_is_injective_on(sections):
     # True iff no nonzero rational combination of the sections has zero image.
-    rows = spinor_coefficient_rows([penrose_transform(section) for section in sections])
+    rows = _stacked_rows([penrose_transform(section) for section in sections])
     return not exact_nullspace(rows, n_cols=len(sections))
 
 
@@ -307,15 +307,35 @@ def test_equivariance_certificate_holds():
     _certify_transform_equivariance.__wrapped__()
 
 
+# Oracle: rho of each positive simple root written out by hand, as {x_v: (x_u, c)} for the
+# vector field sum c x_u d/dx_v, and its slot entry (m, nu): component m += component nu.
+RHO_ORACLE = {
+    "A12": ({f"x{b}_{i}2": (f"x{b}_{i}1", 1) for b in (1, 2) for i in (1, 2, 3)}, None),
+    "E12": ({f"x1_3{j}": (f"x2_2{j}", 1) for j in (1, 2)}
+            | {f"x1_2{j}": (f"x2_3{j}", -1) for j in (1, 2)}, (0, 1)),
+    "E23": ({f"x2_2{j}": (f"x2_1{j}", 1) for j in (1, 2)}
+            | {f"x1_1{j}": (f"x1_2{j}", -1) for j in (1, 2)}, (1, 2)),
+    "E34": ({f"x2_3{j}": (f"x2_2{j}", 1) for j in (1, 2)}
+            | {f"x1_2{j}": (f"x1_3{j}", -1) for j in (1, 2)}, (2, 3)),
+}
+
+
+def test_rho_is_the_oracle_table():
+    # rho is derived from the base variables' table; the hand-written table is its oracle.
+    assert transform._RHO == {
+        root: ({v: base_poly({u: 1}, c) for v, (u, c) in field.items()}, slot)
+        for root, (field, slot) in RHO_ORACLE.items()
+    }
+
+
 def _flip_one_sign(monkeypatch):
-    field = dict(cochain._SPINOR_TABLES["E23"])
-    field["x1_11"] = -field["x1_11"]
-    monkeypatch.setitem(cochain._SPINOR_TABLES, "E23", field)
+    field, slot = transform._RHO["E23"]
+    monkeypatch.setitem(transform._RHO, "E23", (field | {"x1_11": -field["x1_11"]}, slot))
 
 
 @pytest.mark.parametrize("mutant", [
     _flip_one_sign,
-    lambda monkeypatch: monkeypatch.delitem(cochain._SPINOR_SLOTS, "E12"),
+    lambda monkeypatch: monkeypatch.setitem(transform._RHO, "E12", (transform._RHO["E12"][0], None)),
     lambda monkeypatch: monkeypatch.setitem(cochain._TWISTS, "E12", cochain._TWISTS["E12"].scale(Fraction(4, 5))),
 ], ids=["flipped vector-field sign", "dropped slot entry", "E12 twist 4"])
 def test_equivariance_certificate_rejects_mutants(monkeypatch, mutant):
