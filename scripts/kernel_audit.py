@@ -10,7 +10,7 @@ Usage: python scripts/kernel_audit.py [--max-degree K]
 import argparse
 import time
 
-from monogenic.calibration import build_calibrated, find_calibration
+from monogenic.calibration import build_calibrated, find_calibration, format_fraction
 from monogenic.dirac import graded_kernel_dim
 from monogenic.repn import decompose_Mk
 
@@ -18,7 +18,8 @@ from monogenic.repn import decompose_Mk
 def run(max_degree: int) -> bool:
     calibration, _ = find_calibration()
     op = build_calibrated(calibration)
-    print(f"calibration: epsilon={calibration.epsilon:+d}, norm={calibration.clifford_norm}")
+    norm = format_fraction(calibration.clifford_norm)
+    print(f"calibration: epsilon={calibration.epsilon:+d}, norm={norm}")
     all_ok = True
     start = time.perf_counter()
     for k in range(max_degree + 1):

@@ -141,6 +141,8 @@ MUTANTS = [
     ("calibration: config_fields flips the epsilon sign", "src/monogenic/calibration.py",
      'sign = "+1" if config.epsilon > 0 else "-1"', 'sign = "-1" if config.epsilon > 0 else "+1"',
      ["tests/test_cli.py::test_calibrate_writes_config_and_report", "tests/test_cli_golden.py"]),
+    ("calibration: the attempts' norm text built with str", "src/monogenic/calibration.py",
+     '"clifford_norm": format_fraction(norm),', '"clifford_norm": str(norm),', ["tests/test_cli_golden.py"]),
     ("laurent: rref skips the first back-reduction step of each row", "src/monogenic/laurent.py",
      "for p in [k for k in row if k in reduced]:", "for p in [k for k in row if k in reduced][1:]:",
      ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",

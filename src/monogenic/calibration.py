@@ -62,19 +62,19 @@ def find_calibration() -> tuple[CalibrationConfig, list[dict]]:
     """
     references = reference_monogenic_spinors()
     attempts = []
-    chosen = None
+    chosen, norm = None, Fraction(1)
     for epsilon in (1, -1):
-        op = build_dirac(epsilon, Fraction(1))
+        op = build_dirac(epsilon, norm)
         status = [is_monogenic(op, s) for s in references]
         attempts.append(
             {
                 "epsilon": epsilon,
-                "clifford_norm": "1/1",
+                "clifford_norm": format_fraction(norm),
                 "reference_monogenic": status,
             }
         )
         if all(status) and chosen is None:
-            chosen = CalibrationConfig(epsilon=epsilon, clifford_norm=Fraction(1))
+            chosen = CalibrationConfig(epsilon=epsilon, clifford_norm=norm)
     if chosen is None:
         raise InternalCheckError(
             "no sign convention makes the reference spinors monogenic: "

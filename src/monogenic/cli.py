@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="penrose",
         description="Exact twistor-transform engine for monogenic spinors.",
+        # A fixed width keeps the usage line, every command name on it, unwrapped on any terminal.
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=100),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():

@@ -45,10 +45,6 @@ class CochainSection(Record):
             raise PreconditionError("cochain sections live over the twistor chart alphabet")
 
     @classmethod
-    def zero(cls) -> "CochainSection":
-        return cls(LaurentPoly.zero(TWISTOR))
-
-    @classmethod
     def from_terms(cls, terms: Mapping[tuple, Scalar]) -> "CochainSection":
         return cls(LaurentPoly(TWISTOR, terms))
 
@@ -68,27 +64,6 @@ class CochainSection(Record):
             raise PreconditionError(f"a monomial takes exactly three pole orders, not {len(poles)}")
         exps = term_exponents(s0, tuple(z.get(name, 0) for name in Z_VARS), poles)
         return cls.from_terms({exps: coeff})
-
-    def __add__(self, other: "CochainSection") -> "CochainSection":
-        return CochainSection(self.body + other.body)
-
-    def __sub__(self, other: "CochainSection") -> "CochainSection":
-        return CochainSection(self.body - other.body)
-
-    def scale(self, scalar: Scalar) -> "CochainSection":
-        return CochainSection(self.body.scale(scalar))
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def is_monomial(self) -> bool:
-        return self.body.is_monomial()
-
-    def monomial_data(self) -> tuple[int, dict[str, int], tuple[int, int, int], Fraction]:
-        """(s0, {z_ij: s_ij}, (r1, r2, r3), coefficient) of a single monomial."""
-        exps, coeff = self.body.sole_term()
-        s0, z, poles = term_data(exps)
-        return s0, {name: e for name, e in zip(Z_VARS, z) if e}, poles, coeff
 
 
 class Weight(Record):

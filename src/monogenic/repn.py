@@ -25,10 +25,6 @@ class IrrepLabel(Record):
         if min(self.a, self.b, self.l) < 0:
             raise PreconditionError("label entries must be non-negative")
 
-    @property
-    def degree(self) -> int:
-        return 2 * self.a + self.b + 2 * self.l
-
 
 class ModuleDescriptor(Record):
     __slots__ = ("gl2_weight", "sl4_weight", "dimension")  # two Fractions, four ints, an int

@@ -11,7 +11,7 @@ decomposition (`monogenic.repn.decompose_Mk`).
 import itertools
 from fractions import Fraction
 
-from monogenic.charts import TWISTOR, ZETA_VARS
+from monogenic.charts import TWISTOR, Z_VARS, ZETA_VARS, term_data
 from monogenic.cochain import CochainSection, Weight, g0_action, weight_of_monomial
 from monogenic.laurent import InternalCheckError, LaurentPoly, PreconditionError
 from monogenic.repn import decompose_Mk
@@ -96,9 +96,11 @@ def raising_chain(section: CochainSection) -> tuple[CochainSection, tuple[Fracti
     (r1, r2+r3-1, 1), (r1+r2+r3-2, 1, 1) and (1, 1, 1) with the z part fixed.
     C != 0 is asserted (dominance guarantees it).
     """
-    if not section.is_monomial():
+    if not section.body.is_monomial():
         raise PreconditionError("raising_chain expects a single monomial")
-    s0, z, (r1, r2, r3), coeff = section.monomial_data()
+    exps, coeff = section.body.sole_term()
+    s0, z, (r1, r2, r3) = term_data(exps)
+    z = {name: e for name, e in zip(Z_VARS, z) if e}
     if s0 != 0:
         raise PreconditionError("raising_chain requires s0 = 0")
     if min(r1, r2, r3) < 1:

@@ -3,8 +3,12 @@
 Each case records stdout, stderr and the exit code of one command, run in a
 fresh directory after `calibrate`: every command of the benchmark's cli
 session, one error of each kind and two budget refusals, in both formats,
-plus the `--help` text of `penrose` and of each subcommand.  Regenerate the
-golden only for an intended output change, and review its diff:
+plus the `--help` text of `penrose` and of each subcommand.  Replay it on
+any interpreter, pytest or not; the exit status is 1 when a case differs:
+
+    python tests/test_cli_golden.py
+
+Regenerate the golden only for an intended output change, and review its diff:
 
     python tests/test_cli_golden.py --write
 """
@@ -13,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -65,9 +70,20 @@ def test_cli_output_matches_the_golden(tmp_path, monkeypatch):
         assert replay(case["argv"]) == case
 
 
+def test_top_level_help_ignores_the_terminal_width(monkeypatch):
+    texts = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts.add(replay(["--help"])["stdout"])
+    assert len(texts) == 1, texts
+    (text,) = texts
+    assert "{" + ",".join(SUBCOMMANDS) + "} ..." in text.splitlines()[0]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: python tests/test_cli_golden.py --write")
+    write = sys.argv[1:] == ["--write"]
+    if sys.argv[1:] and not write:
+        raise SystemExit("usage: python tests/test_cli_golden.py [--write]")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # the checkout's package
     os.environ["COLUMNS"] = "80"
     cwd = os.getcwd()
@@ -77,5 +93,15 @@ if __name__ == "__main__":
             cases = [replay(argv) for argv in CASES]
         finally:
             os.chdir(cwd)
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
+    if write:
+        GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+        print(f"wrote {len(cases)} cases to {GOLDEN}")
+        raise SystemExit(0)
+    golden = json.loads(GOLDEN.read_text())
+    if [case["argv"] for case in golden] != CASES:
+        raise SystemExit(f"{GOLDEN} does not hold the cases listed here; regenerate it with --write")
+    mismatched = [case["argv"] for case, want in zip(cases, golden) if case != want]
+    for argv in mismatched:
+        print("mismatch: penrose " + shlex.join(argv))
+    print(f"{len(cases) - len(mismatched)} of {len(cases)} cases match {GOLDEN.name}")
+    raise SystemExit(1 if mismatched else 0)

@@ -26,8 +26,9 @@ mono = CochainSection.monomial
 
 def test_hwv_examples():
     assert hwv_test(mono(z={"z11": 2}, poles=(1, 1, 1)))
-    det = mono(z={"z11": 1, "z22": 1}, poles=(1, 1, 1)) + mono(
-        z={"z12": 1, "z21": 1}, poles=(1, 1, 1), coeff=-1
+    det = CochainSection(
+        mono(z={"z11": 1, "z22": 1}, poles=(1, 1, 1)).body
+        + mono(z={"z12": 1, "z21": 1}, poles=(1, 1, 1), coeff=-1).body
     )
     assert hwv_test(det)
     # z12 is raised by A12 to z11, whose class is nonzero
@@ -39,8 +40,9 @@ def test_hwv_examples():
 def test_complete_smallest_labels():
     assert hwv_complete((0, 0, 0)) == mono(poles=(1, 1, 1))
     assert hwv_complete((0, 2, 0)) == mono(z={"z11": 2}, poles=(1, 1, 1))
-    det = mono(z={"z11": 1, "z22": 1}, poles=(1, 1, 1)) + mono(
-        z={"z12": 1, "z21": 1}, poles=(1, 1, 1), coeff=-1
+    det = CochainSection(
+        mono(z={"z11": 1, "z22": 1}, poles=(1, 1, 1)).body
+        + mono(z={"z12": 1, "z21": 1}, poles=(1, 1, 1), coeff=-1).body
     )
     assert hwv_complete((1, 0, 0)) == det
 
@@ -49,7 +51,7 @@ def test_complete_001_exact_value():
     # The true vector: the bundled reference section's quadratic part scaled
     # by 1/5 (the reference coefficients fail the E12 raising condition; see
     # the calibration report and the repository notes).
-    expected = mono(s0=1, poles=(1, 1, 1))
+    expected = mono(s0=1, poles=(1, 1, 1)).body
     fifth = Fraction(1, 5)
     for z, poles, sign in (
         ({"z22": 1, "z31": 1}, (2, 1, 1), -1),
@@ -59,8 +61,8 @@ def test_complete_001_exact_value():
         ({"z12": 1, "z21": 1}, (1, 1, 2), -1),
         ({"z11": 1, "z22": 1}, (1, 1, 2), 1),
     ):
-        expected = expected + mono(z=z, poles=poles, coeff=sign * fifth)
-    assert hwv_complete((0, 0, 1)) == expected
+        expected = expected + mono(z=z, poles=poles, coeff=sign * fifth).body
+    assert hwv_complete((0, 0, 1)) == CochainSection(expected)
 
 
 def test_candidates_are_descending_and_share_the_lead_weight():
