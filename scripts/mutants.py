@@ -45,6 +45,8 @@ _RHO_ORACLE = ["tests/test_transform.py::test_rho_is_the_oracle_table"]
 _KERNEL = ["tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration",
            "tests/test_dirac.py::test_orbit_count_agrees_with_the_global_rank"]
 _BROKEN_PLAN = ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]
+_DOMINANT = ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
+             "tests/test_dirac.py::test_dominant_blocks_count_every_column"]
 _CLOSED_FORM = ["tests/test_hwv.py::test_closed_form_is_the_product_expansion",
                 "tests/test_hwv.py::test_closed_form_transforms_to_the_golden_images",
                 "tests/test_hwv.py::test_complete_001_exact_value"]
@@ -108,8 +110,8 @@ MUTANTS = [
     ("dirac: flipped kappa sign", "src/monogenic/dirac.py",
      "return (jv - ju) * wedge_pair_sign(", "return (ju - jv) * wedge_pair_sign(",
      ["tests/test_dirac.py::test_closed_form_bracket_is_the_commutator_bracket"]),
-    ("weyl: _block_rows packs in base k", _WEYL,
-     "radix = [8 * (k + 1) ** t", "radix = [8 * k ** t",
+    ("weyl: _codes packs in base k", _WEYL,
+     "return [8 * (k + 1) ** t", "return [8 * k ** t",
      ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
     ("weyl: no Weyl certificate call", _WEYL, "    _certify_weyl_symmetry(op)\n", "", _BROKEN_PLAN),
     ("weyl: no distinct-shift check", _WEYL,
@@ -124,7 +126,13 @@ MUTANTS = [
      '("x12", det * (-1 if halves[0] else 1))', '("x12", 1)', _KERNEL),
     ("weyl: output sign +1", _WEYL, "halves, tau, det)", "halves, tau, 1)", _KERNEL),
     ("weyl: strict GL(4) dominance", _WEYL,
-     ">= f[t + 1] + (t + 1 == nu)", "> f[t + 1] + (t + 1 == nu)", _KERNEL),
+     "(f0 + 1 >= f1 >= f2 >= f3, f0 > f1 >= f2 - 1 and f2 >= f3,\n"
+     "                                    f0 >= f1 > f2 >= f3 - 1, f0 >= f1 >= f2 > f3)",
+     "(f0 + 1 > f1 > f2 > f3, f0 > f1 + 1 > f2 > f3, f0 > f1 > f2 + 1 > f3, f0 > f1 > f2 > f3 + 1)", _KERNEL),
+    ("weyl: slot 0 needs f0 >= f1", _WEYL, "f0 + 1 >= f1 >= f2 >= f3", "f0 >= f1 >= f2 >= f3", _DOMINANT),
+    ("weyl: slot 1 allows f0 = f1", _WEYL, "f0 > f1 >= f2 - 1 and", "f0 >= f1 >= f2 - 1 and", _DOMINANT),
+    ("weyl: slot 2 allows f1 = f2", _WEYL, "f0 >= f1 > f2 >= f3 - 1", "f0 >= f1 >= f2 >= f3 - 1", _DOMINANT),
+    ("weyl: slot 3 allows f2 = f3", _WEYL, "f0 >= f1 >= f2 > f3", "f0 >= f1 >= f2 >= f3", _DOMINANT),
     ("weyl: _dominant_blocks drops the row-1 shift", _WEYL,
      "w = w0 + w1 + d1 * (base - 1)", "w = w0 + w1", _KERNEL),
     ("charts: term_data swaps the z12 and z21 slots", _CHARTS,
@@ -148,9 +156,7 @@ MUTANTS = [
      ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",
       "tests/test_nullspace.py::test_random_50_by_80_rank_nullity"]),
     ("weyl: _dominant_blocks drops the d0 = d1 splits", _WEYL,
-     "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):",
-     ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
-      "tests/test_dirac.py::test_dominant_blocks_count_every_column"]),
+     "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):", _DOMINANT),
     ("repn: dim_sl4 divides by 6", "src/monogenic/repn.py", "(3 + p + q + r) // 12", "(3 + p + q + r) // 6",
      ["tests/test_repn.py::test_dim_sl4", "tests/test_repn.py::test_decompose_degree_two"]),
     ("cli: table columns joined by one space", "src/monogenic/cli.py",

@@ -30,7 +30,7 @@ from .repn import decompose_Mk
 from .transform import penrose_transform
 
 # Input budgets: past these an exact run takes minutes to hours, not seconds.
-KERNEL_DEGREE_LIMIT = 8  # about 1 s on one core; degree 9, which only the tests run, about 2.5 s
+KERNEL_DEGREE_LIMIT = 8  # about 0.5 s on one core; degree 9, which only the tests run, about 1.4 s
 HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
 TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s on one core
 # On the sum over terms of 1 + 2*s0 + sum s_ij: the largest hwv section up to
@@ -200,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="penrose",
         description="Exact twistor-transform engine for monogenic spinors.",
-        # A fixed width keeps the usage line, every command name on it, unwrapped on any terminal.
+        # One fixed width for every help text: the same bytes on any terminal, no usage line wrapped.
         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=100),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
-        command = sub.add_parser(name)
+        command = sub.add_parser(name, formatter_class=parser.formatter_class)
         for option, kind in options.items():
             command.add_argument(option, required=True, type=kind)
         command.add_argument("--format", choices=("table", "json"), default="table")

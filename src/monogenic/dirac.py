@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from operator import add
+from itertools import combinations, combinations_with_replacement, product
+from operator import add, sub
 from typing import Iterator
 
 from .charts import BASE, LINEAR_VARIABLES
@@ -148,10 +148,9 @@ def is_monogenic(op: DiracOperator, spinor: SpinorField) -> bool:
 
 # ------------------------------------------------------------- graded kernels
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of `parts` non-negative ints summing to `total` (stars and bars)."""
-    end = (total + parts - 1,)
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+    """Every tuple of `parts` ints >= 0 summing to `total`, in lexicographic order: gaps of sorted bars."""
+    for bars in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, bars + (total,), (0,) + bars))
 
 
 def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:

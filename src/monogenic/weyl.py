@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -158,11 +158,6 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
                 )
 
 
-def _unpack(key: int, base: int) -> tuple[int, ...]:
-    """The weight packed into `key`, coordinate t as digit t in `base`."""
-    return tuple(key // base**t % base for t in range(6))
-
-
 def _orbit_size(w: tuple[int, ...]) -> int:
     """|W.w| for W = S2 x S4: the product of the two multinomials."""
     size = 1
@@ -173,78 +168,83 @@ def _orbit_size(w: tuple[int, ...]) -> int:
     return size
 
 
-def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]]]:
-    """The degree-k columns (nu, exps) of each dominant weight, sorted by (exps, nu).
+def _codes(k: int) -> list[int]:
+    """Each BASE variable's step 8 * (k + 1)^t, big-endian: a code reads exponents 0..k as digits."""
+    return [8 * (k + 1) ** t for t in reversed(range(len(BASE)))]
+
+
+def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Exponents]]]:
+    """The degree-k columns (code + nu, nu, exps) of each dominant weight, sorted by code + nu.
 
     A degree-k monomial is x12^m times monomials of degrees d0 and d1 in the
     six variables of GL(2) rows 0 and 1, and c0 - c1 = d0 - d1, so only
     d0 >= d1 can be dominant.  One table of monomials by weight serves both
     rows, and a pair of its groups is assembled only for the slots nu that
-    make the sum dominant.  `_echelon`'s cost depends on the order of its rows.
+    make the sum dominant.  A monomial's code (`_codes`) is summed from its
+    x12, row-0 and row-1 parts, and code + nu sorts as (exps, nu): the order
+    `_echelon`'s cost depends on.
     """
     if k < 0:
         raise PreconditionError("degree must be non-negative")
     # Weights are packed into one int, coordinate t as digit t in base k + 2:
     # every coordinate of a degree-k spinor lies in 0..k+1.
-    base = k + 2
-    packed = [sum(v * base**t for t, v in enumerate(w)) for w in _VARIABLE_WEIGHTS]
+    base, codes = k + 2, _codes(k)
+    digits = [base**t for t in range(6)]
+    packed = [sum(map(mul, w, digits)) for w in _VARIABLE_WEIGHTS]
     # Row 1's variables weigh as row 0's, position by position, with c1 for c0, so a
     # row-1 monomial of degree d packs to its row-0 twin plus d * (base - 1).
-    weights = [packed[s] for s in _ROWS[0]]
-    table = [{} for _ in range(k + 1)]  # [d]: packed weight -> row-0 monomials of degree d
+    weights, (steps0, steps1) = [packed[s] for s in _ROWS[0]], ([codes[s] for s in row] for row in _ROWS)
+    table = [{} for _ in range(k + 1)]  # [d]: packed weight -> (a, row-0 code, row-1 code) with |a| = d
     for d, by_weight in enumerate(table):
-        for a in _compositions(d, len(weights)):
-            by_weight.setdefault(sum(map(mul, a, weights)), []).append(a)
-    # Dominance is read off the GL(4) digits of w0 + w1 alone: the GL(2)
+        for a in _compositions(d, len(weights)):  # row 1 has degree d1 <= k / 2
+            entry = (a, sum(map(mul, a, steps0)), sum(map(mul, a, steps1)) if 2 * d <= k else None)
+            by_weight.setdefault(sum(map(mul, a, weights)), []).append(entry)
+    # Dominance is read off the GL(4) digits f of w0 + w1 alone: the GL(2)
     # digits are d0 >= d1, and x12^m adds m to every coordinate.
-    slots, gl4 = [base ** (2 + nu) for nu in range(4)], base**2
+    slots, gl4 = digits[2:], digits[2]
     dominant_slots: dict[int, list[tuple[int, int]]] = {}  # w // gl4 -> the (nu, f_nu) kept
-    blocks: dict[int, list[tuple[int, Exponents]]] = {}
+    blocks: dict[int, list[tuple[int, int, Exponents]]] = {}
     for m in range(k // 2 + 1):
         for d1 in range((k - 2 * m) // 2 + 1):
             for w0, rows0 in table[k - 2 * m - d1].items():
                 for w1, rows1 in table[d1].items():
                     w = w0 + w1 + d1 * (base - 1)
                     kept = dominant_slots.get(w // gl4)
-                    if kept is None:
-                        f = _unpack(w, base)[2:]  # kept: the nu with f + f_nu non-increasing
-                        kept = dominant_slots[w // gl4] = [
-                            (nu, f_nu) for nu, f_nu in enumerate(slots)
-                            if all(f[t] + (t == nu) >= f[t + 1] + (t + 1 == nu) for t in range(3))
-                        ]
+                    if kept is None:  # the nu that make f + f_nu non-increasing
+                        f0, f1, f2, f3 = [w // slot % base for slot in slots]
+                        dominant = (f0 + 1 >= f1 >= f2 >= f3, f0 > f1 >= f2 - 1 and f2 >= f3,
+                                    f0 >= f1 > f2 >= f3 - 1, f0 >= f1 >= f2 > f3)
+                        kept = dominant_slots[w // gl4] = list(compress(enumerate(slots), dominant))
                     if kept:
-                        w += m * packed[_X12]
-                        monomials = [_place((m,) + a + b) for a in rows0 for b in rows1]
+                        w, x12 = w + m * packed[_X12], m * codes[_X12]
+                        monomials = [(x12 + code0 + code1, _place((m,) + a + b))
+                                     for a, code0, _ in rows0 for b, _, code1 in rows1]
                         for nu, f_nu in kept:
-                            blocks.setdefault(w + f_nu, []).extend((nu, e) for e in monomials)
-    return {_unpack(key, base): sorted(cols, key=itemgetter(1, 0)) for key, cols in blocks.items()}
+                            blocks.setdefault(w + f_nu, []).extend((code + nu, nu, e) for code, e in monomials)
+    return {
+        tuple(key // d % base for d in digits): sorted(cols, key=itemgetter(0)) for key, cols in blocks.items()
+    }
 
 
 def _block_rows(
-    op: DiracOperator, k: int, blocks: Iterable[list[tuple[int, Exponents]]]
+    op: DiracOperator, k: int, blocks: Iterable[list[tuple[int, int, Exponents]]]
 ) -> Iterator[dict[int, dict[int, int]]]:
-    """The rows of each block of degree-k columns (nu, exps): output key -> {column index: weight}.
+    """The rows of each block of degree-k columns (code + nu, nu, exps): output key -> {column: weight}.
 
-    Row (j, mu, e) has the key 8 * packed(e) + 4j + mu, where `packed` reads
-    the exponents as big-endian digits in base k + 1.  Packing is linear, so
-    each plan entry's outputs sit at a fixed offset from packed(exps), and it
-    is injective on the digits 0..k of every monomial of degree at most k.
+    Row (j, mu, e) has the key code(e) + 4j + mu.  Codes are linear, so each
+    plan entry's outputs sit at fixed offsets from a column's code + nu, read
+    off one flat list of (variable, row offset, weight) per slot, in plan order.
     """
-    radix = [8 * (k + 1) ** t for t in reversed(range(len(BASE)))]
-    entries = [
-        [(s, [(sum(map(mul, delta, radix)) + 4 * j + mu, w) for j, mu, w in outputs])
-         for s, delta, outputs in slot]
-        for slot in op.plan
-    ]
+    codes = _codes(k)
+    entries = [[(s, sum(map(mul, delta, codes)) + 4 * j + mu - nu, w) for s, delta, outputs in slot
+                for j, mu, w in outputs] for nu, slot in enumerate(op.plan)]
     for columns in blocks:
         rows: dict[int, dict[int, int]] = {}
-        for c, (nu, exps) in enumerate(columns):
-            code = sum(map(mul, exps, radix))
-            for s, outputs in entries[nu]:
+        for c, (key, nu, exps) in enumerate(columns):
+            for s, offset, w in entries[nu]:
                 m = exps[s]
                 if m:
-                    for offset, w in outputs:
-                        rows.setdefault(code + offset, {})[c] = m * w
+                    rows.setdefault(key + offset, {})[c] = m * w
         yield rows
 
 

@@ -71,13 +71,14 @@ def test_cli_output_matches_the_golden(tmp_path, monkeypatch):
 
 
 def test_top_level_help_ignores_the_terminal_width(monkeypatch):
-    texts = set()
-    for columns in ("40", "80", "200"):
-        monkeypatch.setenv("COLUMNS", columns)
-        texts.add(replay(["--help"])["stdout"])
-    assert len(texts) == 1, texts
-    (text,) = texts
-    assert "{" + ",".join(SUBCOMMANDS) + "} ..." in text.splitlines()[0]
+    # The top-level help and each subcommand's: one text under COLUMNS 40, 80 and 200.
+    for argv in [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]:
+        texts = set()
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.add(replay(argv)["stdout"])
+        assert len(texts) == 1, (argv, texts)
+    assert "{" + ",".join(SUBCOMMANDS) + "} ..." in replay(["--help"])["stdout"].splitlines()[0]
 
 
 if __name__ == "__main__":
