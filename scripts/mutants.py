@@ -45,6 +45,8 @@ _RHO_ORACLE = ["tests/test_transform.py::test_rho_is_the_oracle_table"]
 _KERNEL = ["tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration",
            "tests/test_dirac.py::test_orbit_count_agrees_with_the_global_rank"]
 _BROKEN_PLAN = ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]
+_STENCIL = ["tests/test_dirac.py::test_integer_column_image_is_the_scaled_fraction_image",
+            "tests/test_dirac.py::test_apply_2dirac_is_the_stencil_operator"]
 _DOMINANT = ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
              "tests/test_dirac.py::test_dominant_blocks_count_every_column"]
 _CLOSED_FORM = ["tests/test_hwv.py::test_closed_form_is_the_product_expansion",
@@ -107,6 +109,11 @@ MUTANTS = [
     ("dirac: apply_2dirac drops / op.scale", "src/monogenic/dirac.py",
      "c = coeff / op.scale", "c = coeff",
      ["tests/test_dirac.py::test_apply_2dirac_is_the_stencil_operator"]),
+    ("dirac: no central term", "src/monogenic/dirac.py",
+     "terms[nu] += [(x_u, lower, j, mu, c), (x12, central, j, mu, c * half_kappa)]",
+     "terms[nu] += [(x_u, lower, j, mu, c)]", _STENCIL),
+    ("dirac: central term in the other GL(2) half", "src/monogenic/dirac.py",
+     "(x12, central, j, mu, c * half_kappa)", "(x12, central, 1 - j, mu, c * half_kappa)", _STENCIL),
     ("dirac: flipped kappa sign", "src/monogenic/dirac.py",
      "return (jv - ju) * wedge_pair_sign(", "return (ju - jv) * wedge_pair_sign(",
      ["tests/test_dirac.py::test_closed_form_bracket_is_the_commutator_bracket"]),
@@ -115,12 +122,16 @@ MUTANTS = [
      ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
     ("weyl: no Weyl certificate call", _WEYL, "    _certify_weyl_symmetry(op)\n", "", _BROKEN_PLAN),
     ("weyl: no distinct-shift check", _WEYL,
-     "        if len({delta for _, delta, _ in slot}) != len(slot):\n"
+     "        if len({shift for _, shift, *_ in slot}) != len(slot):\n"
      '            raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")\n',
      "", _BROKEN_PLAN),
-    ("weyl: no plan-weight check", _WEYL,
-     "if any(_output_weight(j, mu, delta) != _unit(2 + nu) for j, mu, _ in outputs):", "if False:",
+    ("weyl: no plan-weight check", _WEYL, "if _output_weight(j, mu, shift) != _unit(2 + nu):", "if False:",
      _BROKEN_PLAN),
+    ("weyl: no check that an entry lowers its multiplier alone", _WEYL,
+     "            if shift[s] != -1 or sum(d < 0 for d in shift) != 1:\n"
+     '                raise InternalCheckError(f"slot {nu}: shift {shift} '
+     'does not lower {BASE.names[s]} alone")\n',
+     "", _BROKEN_PLAN),
     ("weyl: _orbit_size returns 1", _WEYL, "    return size\n", "    return 1\n", _KERNEL),
     ("weyl: x12 sent to +x12", _WEYL,
      '("x12", det * (-1 if halves[0] else 1))', '("x12", 1)', _KERNEL),

@@ -28,9 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
-from operator import add, sub
-from typing import Iterator
+from itertools import combinations, product
+from operator import add
 
 from .charts import BASE, LINEAR_VARIABLES
 from .laurent import Exponents, LaurentPoly, PreconditionError, Record, Scalar, accumulate
@@ -80,48 +79,46 @@ class DiracOperator(Record):
     """The two coupled operators as one integer stencil plan.
 
     Component j sums clifford @ (d/dvar + correction * d/dx12) over the six
-    directions.  ``plan[nu]`` is that operator on spinor slot nu: (source
-    slot, exponent shift, ((j, mu, weight), ...)) triples, whose weights are
-    the exact coefficients times ``scale``, the lcm of their denominators.
-    `apply_2dirac` and the Weyl certificate read it one basis spinor at a
-    time (`_column_image`); the kernel count reads it one weight block of
-    output rows at a time (`weyl._block_rows`).
+    directions.  ``plan[nu]`` is that operator on spinor slot nu, one flat
+    (source variable s, exponent shift, j, mu, weight) entry per stencil term:
+    the term multiplies by the exponent of x_s, lowers it by the shift and
+    writes output (j, mu) with the exact coefficient times ``scale``, the lcm
+    of the denominators.  `apply_2dirac` and the Weyl certificate read it one
+    basis spinor at a time (`_column_image`); the kernel count reads it one
+    weight block of output rows at a time (`weyl._block_rows`).
     """
 
-    __slots__ = ("epsilon", "clifford_norm", "plan", "scale")
+    __slots__ = ("plan", "scale")
 
 
-def build_dirac(epsilon: int, clifford_norm: Scalar = 1) -> DiracOperator:
-    """Assemble the operator pair for a choice of the two free conventions."""
+def build_dirac(epsilon: int, clifford_norm: Scalar) -> DiracOperator:
+    """Assemble the operator pair for a choice of the two free conventions.
+
+    Each linear variable u sends the two slots its pair misses to (u's GL(2) column, the
+    fourth index) by d/dx_u and by epsilon * kappa(v, u)/2 * x_v * d/dx12: 48 terms.
+    """
     if epsilon not in (1, -1):
         raise PreconditionError("epsilon must be +1 or -1")
     norm = Fraction(clifford_norm)
     if not norm:
         raise PreconditionError("the Clifford normalization must be nonzero")
-    # d/dx_u lowers the x_u exponent; epsilon * kappa(v, u)/2 * x_v * d/dx12 moves x12 onto x_v.
     x12 = BASE.index["x12"]
-    weights: list[dict[tuple[int, Exponents], dict[tuple[int, int], Fraction]]] = [{}, {}, {}, {}]
+    terms: list[list[tuple[int, Exponents, int, int, Fraction]]] = [[], [], [], []]
     for j, i, block in product(range(2), range(3), (1, 2)):
         u = f"x{block}_{i + 1}{j + 1}"
         v = next(v for v in LINEAR_VARIABLES if central_bracket(v, u))  # the one partner
         matrix = clifford_matrix(LINEAR_VARIABLES[u][1])
         x_u, x_v = BASE.index[u], BASE.index[v]
-        shifts = (
-            (x_u, tuple(-(s == x_u) for s in range(len(BASE))), norm),
-            (x12, tuple((s == x_v) - (s == x12) for s in range(len(BASE))),
-             norm * epsilon * Fraction(central_bracket(v, u), 2)),
-        )
+        lower = tuple(-(s == x_u) for s in range(len(BASE)))
+        central = tuple((s == x_v) - (s == x12) for s in range(len(BASE)))
+        half_kappa = epsilon * Fraction(central_bracket(v, u), 2)
         for nu, mu in product(range(4), range(4)):
-            for s, delta, c in shifts if matrix[mu][nu] else ():
-                out = weights[nu].setdefault((s, delta), {})
-                out[j, mu] = out.get((j, mu), 0) + matrix[mu][nu] * c
-    scale = math.lcm(*(w.denominator for slot in weights for o in slot.values() for w in o.values()))
-    plan = tuple(
-        tuple((s, delta, tuple((j, mu, int(w * scale)) for (j, mu), w in out.items() if w))
-              for (s, delta), out in slot.items())
-        for slot in weights
-    )
-    return DiracOperator(epsilon, norm, plan, scale)
+            if matrix[mu][nu]:
+                c = norm * matrix[mu][nu]
+                terms[nu] += [(x_u, lower, j, mu, c), (x12, central, j, mu, c * half_kappa)]
+    scale = math.lcm(*(c.denominator for slot in terms for *_, c in slot))
+    plan = tuple(tuple((s, shift, j, mu, int(c * scale)) for s, shift, j, mu, c in slot) for slot in terms)
+    return DiracOperator(plan, scale)
 
 
 def apply_2dirac(op: DiracOperator, spinor: SpinorField) -> tuple[tuple, tuple]:
@@ -147,24 +144,16 @@ def is_monogenic(op: DiracOperator, spinor: SpinorField) -> bool:
 
 
 # ------------------------------------------------------------- graded kernels
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of `parts` ints >= 0 summing to `total`, in lexicographic order: gaps of sorted bars."""
-    for bars in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, bars + (total,), (0,) + bars))
-
-
 def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
     """Sparse image of the basis spinor (monomial `exps` in slot nu), times ``op.scale``.
 
     Distinct shifts give distinct monomials, so no two plan entries meet.
     """
     image: dict[tuple[int, int, Exponents], int] = {}
-    for s, delta, outputs in op.plan[nu]:
+    for s, shift, j, mu, w in op.plan[nu]:
         m = exps[s]
         if m:
-            e = tuple(map(add, exps, delta))
-            for j, mu, w in outputs:
-                image[j, mu, e] = m * w
+            image[j, mu, tuple(map(add, exps, shift))] = m * w
     return image
 
 

@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from .charts import TWISTOR, term_exponents
 from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection
-from .dirac import _compositions
-from .laurent import Exponents, InternalCheckError, LaurentPoly, rref
+from .laurent import Exponents, InternalCheckError, LaurentPoly, _compositions, rref
 from .repn import IrrepLabel, leading_term
 from .transform import SpinorField, penrose_transform, spinor_action
 

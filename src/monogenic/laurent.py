@@ -21,7 +21,9 @@ import heapq
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations_with_replacement
+from operator import sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class AlphabetMismatch(ValueError):
@@ -38,6 +40,12 @@ class InternalCheckError(RuntimeError):
 
 Exponents = tuple  # tuple[int, ...], one entry per alphabet variable
 Scalar = int | Fraction
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of `parts` ints >= 0 summing to `total`, in lexicographic order: gaps of sorted bars."""
+    for bars in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, bars + (total,), (0,) + bars))
 
 
 class Record:

@@ -2,8 +2,8 @@
 
 A basis spinor x^e (x) f_nu has a torus weight of GL(2) x GL(4) in Z^2 x Z^4,
 and the operator preserves it, so its matrix on degree-k spinors splits into
-weight blocks.  The Weyl group S2 x S4 acts on spinors and on the operator's
-outputs by signed permutations P and Q, and D P = Q D, so the blocks of one
+weight blocks.  The Weyl group S2 x S4 acts on spinors and on output
+coordinates by signed permutations P and Q, and D P = Q D, so the blocks of one
 Weyl orbit have equal size and rank.  Both facts are checked exactly, once
 per operator, before a kernel is counted (`_certify_weyl_symmetry`); the
 count then builds only the blocks of dominant weight, straight from the
@@ -20,8 +20,8 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .charts import BASE, LINEAR_VARIABLES, move_pair
-from .dirac import DiracOperator, _column_image, _compositions, _volume_coefficient
-from .laurent import Exponents, InternalCheckError, PreconditionError, Record, matrix_rank
+from .dirac import DiracOperator, _column_image, _volume_coefficient
+from .laurent import Exponents, InternalCheckError, PreconditionError, Record, _compositions, matrix_rank
 
 
 # A torus weight of GL(2) x GL(4) is six ints (c0, c1 | f0, f1, f2, f3).
@@ -58,7 +58,7 @@ def _output_weight(j: int, mu: int, exps: Exponents) -> tuple[int, ...]:
 
 
 class WeylGenerator(Record):
-    """A simple reflection of S2 x S4 as signed permutations P of spinors and Q of outputs.
+    """A simple reflection of S2 x S4 as signed permutations P of spinors and Q of output coordinates.
 
     P sends x^e (x) f_nu to the product of the images ``variables[s] =
     (target, sign)`` of its variables, times f_slots[nu]; Q sends the output
@@ -127,9 +127,10 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
     """Certify, exactly and once per operator, the symmetry `graded_kernel_dim` counts by.
 
     Raises InternalCheckError unless:
-    - every plan entry preserves weight, and the shifts of one slot are
-      distinct, so neither `_column_image` nor `_block_rows` writes two
-      entries to one key;
+    - the shifts of one slot are distinct, and every plan entry lowers its
+      multiplier x_s by one, lowers no other variable and preserves weight,
+      so neither `_column_image` nor `_block_rows` writes two entries to one
+      key, and no packed key borrows across digits;
     - each generator moves the weight of every variable and slot as it moves
       weights, so P maps the columns of weight lambda onto those of g(lambda);
     - D(P(x_s (x) f_nu)) = Q(D(x_s (x) f_nu)) for every variable s and slot nu.
@@ -139,11 +140,13 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
       chain rule this gives D P = Q D on every polynomial spinor.
     """
     for nu, slot in enumerate(op.plan):
-        if len({delta for _, delta, _ in slot}) != len(slot):
+        if len({shift for _, shift, *_ in slot}) != len(slot):
             raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")
-        for _, delta, outputs in slot:
-            if any(_output_weight(j, mu, delta) != _unit(2 + nu) for j, mu, _ in outputs):
-                raise InternalCheckError(f"slot {nu}: the plan entry {delta} does not preserve weight")
+        for s, shift, j, mu, _ in slot:
+            if shift[s] != -1 or sum(d < 0 for d in shift) != 1:
+                raise InternalCheckError(f"slot {nu}: shift {shift} does not lower {BASE.names[s]} alone")
+            if _output_weight(j, mu, shift) != _unit(2 + nu):
+                raise InternalCheckError(f"slot {nu}: the plan entry {shift} does not preserve weight")
     units = [tuple(int(t == s) for t in range(len(BASE))) for s in range(len(BASE))]
     for g in WEYL_GENERATORS:
         if any(_weight(g.monomial(x)[1]) != g.weight(_weight(x)) for x in units) or any(
@@ -220,10 +223,9 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Expon
                         monomials = [(x12 + code0 + code1, _place((m,) + a + b))
                                      for a, code0, _ in rows0 for b, _, code1 in rows1]
                         for nu, f_nu in kept:
-                            blocks.setdefault(w + f_nu, []).extend((code + nu, nu, e) for code, e in monomials)
-    return {
-        tuple(key // d % base for d in digits): sorted(cols, key=itemgetter(0)) for key, cols in blocks.items()
-    }
+                            blocks.setdefault(w + f_nu, []).extend((c + nu, nu, e) for c, e in monomials)
+    return {tuple(key // d % base for d in digits): sorted(cols, key=itemgetter(0))
+            for key, cols in blocks.items()}
 
 
 def _block_rows(
@@ -232,12 +234,12 @@ def _block_rows(
     """The rows of each block of degree-k columns (code + nu, nu, exps): output key -> {column: weight}.
 
     Row (j, mu, e) has the key code(e) + 4j + mu.  Codes are linear, so each
-    plan entry's outputs sit at fixed offsets from a column's code + nu, read
+    plan entry's output sits at a fixed offset from a column's code + nu, read
     off one flat list of (variable, row offset, weight) per slot, in plan order.
     """
     codes = _codes(k)
-    entries = [[(s, sum(map(mul, delta, codes)) + 4 * j + mu - nu, w) for s, delta, outputs in slot
-                for j, mu, w in outputs] for nu, slot in enumerate(op.plan)]
+    entries = [[(s, sum(map(mul, shift, codes)) + 4 * j + mu - nu, w) for s, shift, j, mu, w in slot]
+               for nu, slot in enumerate(op.plan)]
     for columns in blocks:
         rows: dict[int, dict[int, int]] = {}
         for c, (key, nu, exps) in enumerate(columns):

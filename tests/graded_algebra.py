@@ -15,7 +15,6 @@ from functools import lru_cache
 from operator import add
 
 from monogenic.charts import BASE
-from monogenic.dirac import _compositions
 from monogenic.laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
 from monogenic.weyl import _unit, _weight
 
@@ -28,14 +27,17 @@ def weighted_degree(exps: tuple[int, ...]) -> int:
 
 
 def degree_exponents(k: int) -> list[Exponents]:
-    """All base monomial exponent vectors of weighted degree k (x12 weighs 2)."""
+    """All base monomial exponent vectors of weighted degree k (x12 weighs 2), sorted."""
     if k < 0:
         raise PreconditionError("degree must be non-negative")
-    out = []
-    for m in range(k // 2 + 1):
-        for linear in _compositions(k - 2 * m, len(BASE) - 1):
-            out.append((m,) + linear)
-    return sorted(out)
+
+    def spread(total: int, parts: int) -> list[Exponents]:
+        # Every tuple of `parts` ints >= 0 summing to `total`: its first entry, then the rest.
+        if parts == 1:
+            return [(total,)]
+        return [(first,) + rest for first in range(total + 1) for rest in spread(total - first, parts - 1)]
+
+    return sorted((m,) + linear for m in range(k // 2 + 1) for linear in spread(k - 2 * m, len(BASE) - 1))
 
 
 def weight_columns(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]]]:

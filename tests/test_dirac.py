@@ -103,10 +103,10 @@ def fraction_stencils(epsilon, clifford_norm):
     )
 
 
-def stencil_apply_2dirac(op, spinor):
+def stencil_apply_2dirac(conventions, spinor):
     # Oracle: clifford @ (d/dvar + correction * d/dx12) summed over the stencils.
     results = []
-    for stencil in fraction_stencils(op.epsilon, op.clifford_norm):
+    for stencil in fraction_stencils(*conventions):
         parts = [[], [], [], []]
         for matrix, var, correction in stencil:
             for nu in range(4):
@@ -121,12 +121,12 @@ def stencil_apply_2dirac(op, spinor):
     return tuple(results)
 
 
-def fraction_column_image(op, nu, exps):
+def fraction_column_image(conventions, nu, exps):
     # Oracle: the image of one basis spinor read straight off the Fraction
     # stencils, d/dvar and the x12 correction term by term.
     image = {}
     x12 = BASE.index["x12"]
-    for j, stencil in enumerate(fraction_stencils(op.epsilon, op.clifford_norm)):
+    for j, stencil in enumerate(fraction_stencils(*conventions)):
         for matrix, var, correction in stencil:
             column = [matrix[mu][nu] for mu in range(4)]
             if not any(column):
@@ -149,12 +149,12 @@ def fraction_column_image(op, nu, exps):
     return image
 
 
-def blockwise_kernel_dim(op, k):
+def blockwise_kernel_dim(conventions, k):
     # Oracle: split the Fraction operator matrix into the connected components
     # of its sparsity graph (union-find over shared output coordinates) and add
     # up the nullities of the dense blocks.
     columns = [(nu, exps) for nu in range(4) for exps in degree_exponents(k)]
-    images = {col: fraction_column_image(op, *col) for col in columns}
+    images = {col: fraction_column_image(conventions, *col) for col in columns}
     parent = {}
 
     def find(x):
@@ -336,19 +336,21 @@ def test_closed_form_bracket_is_the_commutator_bracket():
     # The operator carries epsilon * kappa/2 * x_v on every d/dx12: the image
     # of x12 in each slot is exactly the oracle's.
     (x12,) = LaurentPoly.variable(BASE, "x12").terms
-    for op in (calibrated(), build_dirac(-1, Fraction(2, 3))):
+    for conventions in ((1, 1), (-1, Fraction(2, 3))):  # (1, 1) is the calibrated operator
+        op = build_dirac(*conventions)
         for nu in range(4):
-            expected = {key: op.scale * c for key, c in fraction_column_image(op, nu, x12).items()}
+            expected = {key: op.scale * c for key, c in fraction_column_image(conventions, nu, x12).items()}
             assert expected and _column_image(op, nu, x12) == expected
 
 
 def test_integer_column_image_is_the_scaled_fraction_image():
-    for op in (calibrated(), build_dirac(-1, Fraction(2, 3))):
+    for conventions in ((1, 1), (-1, Fraction(2, 3))):  # (1, 1) is the calibrated operator
+        op = build_dirac(*conventions)
         for k in range(4):
             for nu in range(4):
                 for exps in degree_exponents(k):
                     expected = {
-                        key: op.scale * v for key, v in fraction_column_image(op, nu, exps).items()
+                        key: op.scale * v for key, v in fraction_column_image(conventions, nu, exps).items()
                     }
                     assert _column_image(op, nu, exps) == expected
 
@@ -369,7 +371,7 @@ base_polys = st.dictionaries(
 )
 def test_apply_2dirac_is_the_stencil_operator(conventions, field):
     op = build_dirac(*conventions)  # (1, 1) is the calibrated operator
-    assert apply_2dirac(op, field) == stencil_apply_2dirac(op, field)
+    assert apply_2dirac(op, field) == stencil_apply_2dirac(conventions, field)
 
 
 OPERATORS = ((1, 1), (-1, 1), (-1, Fraction(2, 3)))  # (1, 1) is the calibrated operator
@@ -479,29 +481,37 @@ def with_entry(op, nu, e, entry):
     # The operator with plan entry e of slot nu replaced.
     plan = list(op.plan)
     plan[nu] = plan[nu][:e] + (entry,) + plan[nu][e + 1:]
-    return DiracOperator(op.epsilon, op.clifford_norm, tuple(plan), op.scale)
+    return DiracOperator(tuple(plan), op.scale)
 
 
 def test_a_broken_plan_fails_the_certificate():
     op = calibrated()
     for nu, slot in enumerate(op.plan):
-        for e, (s, delta, outputs) in enumerate(slot):
-            (j, mu, w), rest = outputs[0], outputs[1:]
+        for e, (s, shift, j, mu, w) in enumerate(slot):
             # Negating any one output weight breaks the Weyl symmetry.
             with pytest.raises(InternalCheckError, match="does not commute"):
-                graded_kernel_dim(with_entry(op, nu, e, (s, delta, ((j, mu, -w),) + rest)), 2)
+                graded_kernel_dim(with_entry(op, nu, e, (s, shift, j, mu, -w)), 2)
             # Sending it to another output slot breaks the weight blocks.
             with pytest.raises(InternalCheckError, match="does not preserve weight"):
-                graded_kernel_dim(with_entry(op, nu, e, (s, delta, ((j, (mu + 1) % 4, w),) + rest)), 2)
+                graded_kernel_dim(with_entry(op, nu, e, (s, shift, j, (mu + 1) % 4, w)), 2)
         # Two entries with one shift would overwrite each other's images.
         with pytest.raises(InternalCheckError, match="share an exponent shift"):
             graded_kernel_dim(with_entry(op, nu, 1, slot[0]), 2)
+    # Every lowering entry multiplying by x12 instead of the variable its shift
+    # lowers, the same way in all slots, keeps weights, distinct shifts and the
+    # Weyl symmetry, but its column images are wrong and its packed row keys
+    # borrow across digits: without the check, k = 1..5 count 48, 312, 1456,
+    # 5460 and 17472 instead of 40, 220, 880, 2860 and 8008.
+    x12 = BASE.index["x12"]
+    misread = DiracOperator(tuple(tuple((x12,) + t[1:] for t in slot) for slot in op.plan), op.scale)
+    with pytest.raises(InternalCheckError, match="does not lower x12 alone"):
+        graded_kernel_dim(misread, 2)
 
 
 def test_one_sparse_rank_agrees_with_the_blockwise_oracle():
-    op = calibrated()
+    op = calibrated()  # the conventions (1, 1)
     for k in range(5):
-        assert graded_kernel_dim(op, k) == blockwise_kernel_dim(op, k)
+        assert graded_kernel_dim(op, k) == blockwise_kernel_dim((1, 1), k)
 
 
 def test_block_decomposition_agrees_with_one_dense_elimination():

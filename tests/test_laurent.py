@@ -316,8 +316,7 @@ RECORDS = [
     (SpinorField, ((_BASE0,) * 4,),
      "SpinorField(components=(LaurentPoly(0), LaurentPoly(0), LaurentPoly(0), LaurentPoly(0)))",
      ((LaurentPoly.zero(TWISTOR),) * 4,), "spinor components live over the base alphabet"),
-    (DiracOperator, (1, Fraction(1), ((),), 2),
-     "DiracOperator(epsilon=1, clifford_norm=Fraction(1, 1), plan=((),), scale=2)", None, None),
+    (DiracOperator, (((),), 2), "DiracOperator(plan=((),), scale=2)", None, None),
     (CalibrationConfig, (-1, Fraction(1, 2)), "CalibrationConfig(epsilon=-1, clifford_norm=Fraction(1, 2))",
      None, None),
     (WeylGenerator, (((1, -1),), (1, 0), (0, 1, 2, 3), -1),
