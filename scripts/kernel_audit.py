@@ -1,8 +1,10 @@
 """Cross-validate the operator kernels against the dimension formulas.
 
-Two fully independent routes to dim M_k: the exact nullspace of the assembled
-first-order operator on degree-k spinors, and the sum of classical dimension
-formulas over the summand labels.  Any mismatch is a bug in one of them.
+Two fully independent routes to dim M_k: the exact kernel count of the 2-Dirac
+operator on degree-k spinors, sum over the dominant weights lambda of
+|W.lambda| * (n_lambda - rank B_lambda) (`weyl.kernel_character`, one exact rank
+per weight block), and the sum of classical dimension formulas over the summand
+labels.  Any mismatch is a bug in one of them.
 
 Usage: python scripts/kernel_audit.py [--max-degree K]
 """

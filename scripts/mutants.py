@@ -168,6 +168,10 @@ MUTANTS = [
       "tests/test_nullspace.py::test_random_50_by_80_rank_nullity"]),
     ("weyl: _dominant_blocks drops the d0 = d1 splits", _WEYL,
      "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):", _DOMINANT),
+    ("weyl: _dominant_blocks sorts columns by code + nu, not slot-major", _WEYL,
+     "sorted(cols, key=itemgetter(1, 0))", "sorted(cols, key=itemgetter(0))",
+     ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
+      "tests/test_dirac.py::test_block_ranks_take_at_most_the_pinned_row_operations"]),
     ("repn: dim_sl4 divides by 6", "src/monogenic/repn.py", "(3 + p + q + r) // 12", "(3 + p + q + r) // 6",
      ["tests/test_repn.py::test_dim_sl4", "tests/test_repn.py::test_decompose_degree_two"]),
     ("cli: table columns joined by one space", "src/monogenic/cli.py",
