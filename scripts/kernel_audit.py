@@ -26,12 +26,12 @@ def run(max_degree: int) -> bool:
     start = time.perf_counter()
     for k in range(max_degree + 1):
         t0 = time.perf_counter()
-        nullity = graded_kernel_dim(op, k)
+        kernel = graded_kernel_dim(op, k)
         weyl = sum(desc.dimension for _, desc in decompose_Mk(k))
-        ok = nullity == weyl
+        ok = kernel == weyl
         all_ok &= ok
         print(
-            f"degree {k}: nullspace {nullity:>6}  formulas {weyl:>6}  "
+            f"degree {k}: kernel {kernel:>6}  formulas {weyl:>6}  "
             f"{'ok' if ok else 'MISMATCH'}  ({time.perf_counter() - t0:.2f}s)"
         )
     print(f"total: {'ok' if all_ok else 'MISMATCH'}  ({time.perf_counter() - start:.2f}s)")

@@ -166,6 +166,13 @@ MUTANTS = [
      "for p in [k for k in row if k in reduced]:", "for p in [k for k in row if k in reduced][1:]:",
      ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",
       "tests/test_nullspace.py::test_random_50_by_80_rank_nullity"]),
+    ("laurent: _echelon negates the multiplier a but not b", "src/monogenic/laurent.py",
+     "a, b = -a, -b", "a = -a",
+     ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",
+      "tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration"]),
+    ("laurent: _echelon writes to the caller's row when a is one", "src/monogenic/laurent.py",
+     "row.copy() if a == 1", "row if a == 1",
+     ["tests/test_nullspace.py::test_elimination_leaves_the_callers_rows_unchanged"]),
     ("weyl: _dominant_blocks drops the d0 = d1 splits", _WEYL,
      "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):", _DOMINANT),
     ("weyl: _dominant_blocks sorts columns by code + nu, not slot-major", _WEYL,

@@ -30,7 +30,7 @@ from .repn import decompose_Mk
 from .transform import penrose_transform
 
 # Input budgets: past these an exact run takes minutes to hours, not seconds.
-KERNEL_DEGREE_LIMIT = 8  # about 0.4 s on one core; degree 9, which only the tests run, about 1.1 s
+KERNEL_DEGREE_LIMIT = 8  # about 0.3 s on one core; degree 9, which only the tests run, about 0.75 s
 HWV_DEGREE_LIMIT = 6  # on the label degree 2a + b + 2l
 TRANSFORM_DEGREE_LIMIT = 12  # on 2*s0 + sum s_ij per term; z0^6 takes about 2 s on one core
 # On the sum over terms of 1 + 2*s0 + sum s_ij: the largest hwv section up to

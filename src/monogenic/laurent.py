@@ -430,13 +430,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(row: Row) -> dict[int, int]:
-    """The nonzero entries of a row as {column: int}, scaled to coprime integers."""
-    entries = row if isinstance(row, dict) else dict(enumerate(row))
-    if not all(type(v) is int and v for v in entries.values()):
-        entries = {c: v for c, v in entries.items() if v}
-        lcm = math.lcm(*[v.denominator for v in entries.values()])
-        entries = {c: v.numerator * (lcm // v.denominator) for c, v in entries.items()}
-    return _primitive(entries)
+    """The nonzero entries of a dense or rational row as {column: int}, times their denominators' lcm."""
+    entries = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+    lcm = math.lcm(*[v.denominator for v in entries.values()])
+    return {c: v.numerator * (lcm // v.denominator) for c, v in entries.items()}
 
 
 def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
@@ -447,9 +444,14 @@ def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
     each other row r of the bucket, with leading entries piv and e and
     g = gcd(piv, e), becomes (piv/g)*r - (e/g)*pivot, made primitive, and
     moves to the bucket of its new leading column.  No other row is touched.
+    Both multipliers change sign when piv/g < 0, which negates the new row
+    and keeps its zeros, and r is only copied when piv/g is then 1.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
-    for row in map(_integer_row, rows):
+    for row in rows:
+        if type(row) is not dict or not all(type(v) is int and v for v in row.values()):
+            row = _integer_row(row)
+        row = _primitive(row)
         if row:
             buckets.setdefault(min(row), []).append(row)
     heap = list(buckets)
@@ -459,14 +461,16 @@ def _echelon(rows: Iterable[Row]) -> tuple[list[dict[int, int]], list[int]]:
     while heap:
         c = heapq.heappop(heap)
         bucket = buckets.pop(c)
-        pivot = min(bucket, key=len)
+        pivot = bucket[0] if len(bucket) == 1 else min(bucket, key=len)
         piv = pivot[c]
         for row in bucket:
             if row is pivot:
                 continue
             g = math.gcd(piv, row[c])
             a, b = piv // g, row[c] // g
-            row = {k: a * v for k, v in row.items()}  # the caller's rows are never changed
+            if a < 0:
+                a, b = -a, -b
+            row = row.copy() if a == 1 else {k: a * v for k, v in row.items()}  # never the caller's row
             for k, v in pivot.items():
                 s = row.get(k, 0) - b * v
                 if s:

@@ -4,7 +4,7 @@ Degree-k monogenic spinors decompose, multiplicity free, into the modules
 labeled by (a, b, l) with 2a + b + 2l = k: the gl(2) factor has highest
 weight (5/2 + l + a + b, 5/2 + l + a) and the sl(4) factor (2a+b+1, a+b, a, 0).
 Dimensions come from the classical formulas in exact arithmetic and
-cross-validate the nullspace route through the operator matrix.
+cross-validate the operator's kernel, counted by exact weight-block ranks.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 rows, dense or {column: value}, checked against a Bareiss rank and a textbook
 rational Gauss-Jordan oracle on random, rank-deficient and sparse matrices."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -231,3 +232,22 @@ def test_nullspace_pivots_are_the_columns_the_later_columns_span(data):
     _, reversed_pivots = rref([{n_cols - 1 - c: v for c, v in row.items()} for row in rows])
     spanned = sorted(set(range(n_cols)).difference(n_cols - 1 - p for p in reversed_pivots))
     assert spanned == rref(exact_nullspace(rows, n_cols))[1]
+
+
+@given(sparse_integer_matrices(), st.sampled_from(["primitive", "fraction", "dense"]))
+@settings(max_examples=200, deadline=None)
+def test_elimination_leaves_the_callers_rows_unchanged(data, form):
+    # A primitive {column: int} row is used as it is, as a pivot or as the
+    # row a multiplier of one copies; Fraction and dense rows are converted
+    # first.  No form may be written to.
+    rows, n_cols = data
+    rows = [{c: v // math.gcd(*row.values()) for c, v in row.items() if v} for row in rows]
+    if form == "fraction":
+        rows = [{c: Fraction(v, c + 1) for c, v in row.items()} for row in rows]
+    elif form == "dense":
+        rows = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+    before = copy.deepcopy(rows)
+    matrix_rank(rows)
+    rref(rows)
+    exact_nullspace(rows, n_cols)
+    assert rows == before
