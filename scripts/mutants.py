@@ -45,6 +45,7 @@ _RHO_ORACLE = ["tests/test_transform.py::test_rho_is_the_oracle_table"]
 _KERNEL = ["tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration",
            "tests/test_dirac.py::test_orbit_count_agrees_with_the_global_rank"]
 _BROKEN_PLAN = ["tests/test_dirac.py::test_a_broken_plan_fails_the_certificate"]
+_CERTIFIED = ["tests/test_dirac.py::test_the_certificate_agrees_with_the_commutation_oracle"]
 _STENCIL = ["tests/test_dirac.py::test_integer_column_image_is_the_scaled_fraction_image",
             "tests/test_dirac.py::test_apply_2dirac_is_the_stencil_operator"]
 _DOMINANT = ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
@@ -176,9 +177,16 @@ MUTANTS = [
     ("weyl: _dominant_blocks drops the d0 = d1 splits", _WEYL,
      "for d1 in range((k - 2 * m) // 2 + 1):", "for d1 in range((k - 2 * m + 1) // 2):", _DOMINANT),
     ("weyl: _dominant_blocks sorts columns by code + nu, not slot-major", _WEYL,
-     "sorted(cols, key=itemgetter(1, 0))", "sorted(cols, key=itemgetter(0))",
+     "return [nu * span for nu in range(4)]", "return [nu for nu in range(4)]",
      ["tests/test_dirac.py::test_dominant_blocks_are_the_oracle_partition",
       "tests/test_dirac.py::test_block_ranks_take_at_most_the_pinned_row_operations"]),
+    ("weyl: _block_rows gates the central entries on exps[1], not x12", _WEYL,
+     "            m = exps[0]\n", "            m = exps[1]\n",
+     ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
+    ("weyl: the certificate drops the moved entry's sign", _WEYL,
+     "g.output_sign * sign * w", "g.output_sign * w", _KERNEL + _CERTIFIED),
+    ("weyl: the certificate looks the moved entry up in slot nu, not slots[nu]", _WEYL,
+     "set(op.plan[g.slots[nu]])", "set(op.plan[nu])", _KERNEL + _CERTIFIED),
     ("repn: dim_sl4 divides by 6", "src/monogenic/repn.py", "(3 + p + q + r) // 12", "(3 + p + q + r) // 6",
      ["tests/test_repn.py::test_dim_sl4", "tests/test_repn.py::test_decompose_degree_two"]),
     ("cli: table columns joined by one space", "src/monogenic/cli.py",

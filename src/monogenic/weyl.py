@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, product
-from operator import itemgetter, mul
+from itertools import compress
+from operator import mul
 from typing import Iterable, Iterator
 
 from .charts import BASE, LINEAR_VARIABLES, move_pair
-from .dirac import DiracOperator, _column_image, _volume_coefficient
+from .dirac import DiracOperator, _volume_coefficient
 from .laurent import Exponents, InternalCheckError, PreconditionError, Record, matrix_rank
 
 
@@ -38,13 +38,14 @@ _VARIABLE_WEIGHTS = (_unit(0, 1, 2, 3, 4, 5),) + tuple(
 )
 
 
-# The six variables of each GL(2) row j (column j of X1 and X2), in BASE order;
-# _place puts the exponents of x12, row 0 and row 1, concatenated, in BASE order.
+# The six variables of each GL(2) row j (column j of X1 and X2), in BASE order.
 _ROWS = tuple(
     tuple(BASE.index[name] for name, (column, _) in LINEAR_VARIABLES.items() if column == j)
     for j in range(2)
 )
-_place = itemgetter(*map(((_X12,) + _ROWS[0] + _ROWS[1]).index, range(len(BASE))))
+# A block column's exponents are those of x12, row 0 and row 1, concatenated:
+# BASE variable s sits at position _POSITION[s], and x12 at position 0.
+_POSITION = tuple(map(((_X12,) + _ROWS[0] + _ROWS[1]).index, range(len(BASE))))
 
 
 def _weight(exps: Exponents) -> tuple[int, ...]:
@@ -85,19 +86,6 @@ class WeylGenerator(Record):
             image[t] = v
         return tuple(image)
 
-    def image(self, op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
-        """D(P(x^e (x) f_nu)) as a column image."""
-        sign, moved = self.monomial(exps)
-        return {key: sign * w for key, w in _column_image(op, self.slots[nu], moved).items()}
-
-    def moved_image(self, op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
-        """Q(D(x^e (x) f_nu)) as a column image."""
-        out = {}
-        for (j, mu, e), w in _column_image(op, nu, exps).items():
-            sign, moved = self.monomial(e)
-            out[self.halves[j], self.slots[mu], moved] = self.output_sign * sign * w
-        return out
-
 
 def _weyl_generator(halves: tuple[int, int], tau: tuple[int, int, int, int]) -> WeylGenerator:
     """The generator that permutes the GL(2) axes by `halves` and the GL(4) axes by `tau`.
@@ -133,11 +121,14 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
       key, and no packed key borrows across digits;
     - each generator moves the weight of every variable and slot as it moves
       weights, so P maps the columns of weight lambda onto those of g(lambda);
-    - D(P(x_s (x) f_nu)) = Q(D(x_s (x) f_nu)) for every variable s and slot nu.
-      The plan makes D first order with no zeroth-order term,
-      D(p f_nu) = sum_s (dp/dx_s) L_s with L_s = D(x_s (x) f_nu), and P and Q
-      act on coefficients by one signed substitution of variables, so by the
-      chain rule this gives D P = Q D on every polynomial spinor.
+    - each generator carries every entry (s, shift, j, mu, w) of slot nu onto
+      an entry of slot slots[nu], namely (target of s, moved shift, halves[j],
+      slots[mu], output_sign * sign of the moved shift * w).  An entry sends
+      x^e (x) f_nu to e_s w x^(e + shift) at output (j, mu); P moves e_s to
+      the target's place, and both P and Q move exponents linearly and sign
+      them multiplicatively.  The shifts of a slot are distinct, so the
+      entries match one to one, and D P = Q D term by term on every
+      polynomial spinor.
     """
     for nu, slot in enumerate(op.plan):
         if len({shift for _, shift, *_ in slot}) != len(slot):
@@ -147,17 +138,21 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
                 raise InternalCheckError(f"slot {nu}: shift {shift} does not lower {BASE.names[s]} alone")
             if _output_weight(j, mu, shift) != _unit(2 + nu):
                 raise InternalCheckError(f"slot {nu}: the plan entry {shift} does not preserve weight")
-    units = [tuple(int(t == s) for t in range(len(BASE))) for s in range(len(BASE))]
     for g in WEYL_GENERATORS:
-        if any(_weight(g.monomial(x)[1]) != g.weight(_weight(x)) for x in units) or any(
+        targets = [t for t, _ in g.variables]
+        if any(_VARIABLE_WEIGHTS[t] != g.weight(w) for t, w in zip(targets, _VARIABLE_WEIGHTS)) or any(
             _unit(2 + g.slots[nu]) != g.weight(_unit(2 + nu)) for nu in range(4)
         ):
             raise InternalCheckError(f"the Weyl generator {g.halves, g.slots} does not move weights")
-        for x, nu in product(units, range(4)):
-            if g.image(op, nu, x) != g.moved_image(op, nu, x):
+        for nu, slot in enumerate(op.plan):
+            moved = set()
+            for s, shift, j, mu, w in slot:
+                sign, image = g.monomial(shift)
+                moved.add((targets[s], image, g.halves[j], g.slots[mu], g.output_sign * sign * w))
+            if moved != set(op.plan[g.slots[nu]]):
                 raise InternalCheckError(
                     f"the operator does not commute with the Weyl generator {g.halves, g.slots} "
-                    f"on slot {nu}, monomial {x}"
+                    f"on slot {nu}"
                 )
 
 
@@ -176,24 +171,31 @@ def _codes(k: int) -> list[int]:
     return [8 * (k + 1) ** t for t in reversed(range(len(BASE)))]
 
 
+def _majors(k: int) -> list[int]:
+    """Each slot's sort-key base nu * span, with span = 8 * (k + 1)^len(BASE) above every code."""
+    span = 8 * (k + 1) ** len(BASE)
+    return [nu * span for nu in range(4)]
+
+
 def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Exponents]]]:
-    """The degree-k columns (code + nu, nu, exps) of each dominant weight, sorted slot-major.
+    """The degree-k columns (major + code, nu, exps) of each dominant weight, sorted slot-major.
 
     A degree-k monomial is x12^m times monomials of degrees d0 and d1 in the
     six variables of GL(2) rows 0 and 1, and c0 - c1 = d0 - d1, so only
     d0 >= d1 can be dominant.  One table of monomials by weight serves both
     rows, built a degree at a time, and a pair of its groups is assembled
     only for the slots nu that make the sum dominant.  A monomial's code
-    (`_codes`) is summed from its x12, row-0 and row-1 parts.  Columns sort
-    by (nu, code), which is (nu, exps): `_echelon`'s cost depends on the
-    order, and this one takes 20 to 29 % fewer row operations than
-    (exps, nu) at k = 5..9.
+    (`_codes`) is summed from its x12, row-0 and row-1 parts, and its
+    exponents are theirs concatenated, (m,) + a + b (`_POSITION`).  Slot nu
+    adds its major (`_majors`), so one int sorts a block by (nu, code),
+    which is (nu, exps): `_echelon`'s cost depends on the order, and this one
+    takes 20 to 29 % fewer row operations than (exps, nu) at k = 5..9.
     """
     if k < 0:
         raise PreconditionError("degree must be non-negative")
     # Weights are packed into one int, coordinate t as digit t in base k + 2:
     # every coordinate of a degree-k spinor lies in 0..k+1.
-    base, codes = k + 2, _codes(k)
+    base, codes, majors = k + 2, _codes(k), _majors(k)
     digits = [base**t for t in range(6)]
     packed = [sum(map(mul, w, digits)) for w in _VARIABLE_WEIGHTS]
     # Row 1's variables weigh as row 0's, position by position, with c1 for c0, so a
@@ -213,7 +215,8 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Expon
     # Dominance is read off the GL(4) digits f of w0 + w1 alone: the GL(2)
     # digits are d0 >= d1, and x12^m adds m to every coordinate.
     slots, gl4 = digits[2:], digits[2]
-    dominant_slots: dict[int, list[tuple[int, int]]] = {}  # w // gl4 -> the (nu, f_nu) kept
+    candidates = list(zip(range(4), majors, slots))  # (nu, major, f_nu)
+    dominant_slots: dict[int, list[tuple[int, int, int]]] = {}  # w // gl4 -> the candidates kept
     blocks: dict[int, list[tuple[int, int, Exponents]]] = {}
     for m in range(k // 2 + 1):
         for d1 in range((k - 2 * m) // 2 + 1):
@@ -225,35 +228,50 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Expon
                         f0, f1, f2, f3 = [w // slot % base for slot in slots]
                         dominant = (f0 + 1 >= f1 >= f2 >= f3, f0 > f1 >= f2 - 1 and f2 >= f3,
                                     f0 >= f1 > f2 >= f3 - 1, f0 >= f1 >= f2 > f3)
-                        kept = dominant_slots[w // gl4] = list(compress(enumerate(slots), dominant))
+                        kept = dominant_slots[w // gl4] = list(compress(candidates, dominant))
                     if kept:
                         w, x12 = w + m * packed[_X12], m * codes[_X12]
-                        monomials = [(x12 + code0 + code1, _place((m,) + a + b))
-                                     for a, code0, _, _ in rows0 for b, _, code1, _ in rows1]
-                        for nu, f_nu in kept:
-                            blocks.setdefault(w + f_nu, []).extend((c + nu, nu, e) for c, e in monomials)
-    return {tuple(key // d % base for d in digits): sorted(cols, key=itemgetter(1, 0))
-            for key, cols in blocks.items()}
+                        joined = [(x12 + code0 + code1, (m,) + a + b)
+                                  for a, code0, _, _ in rows0 for b, _, code1, _ in rows1]
+                        for nu, major, f_nu in kept:
+                            blocks.setdefault(w + f_nu, []).extend([(major + c, nu, e) for c, e in joined])
+    for cols in blocks.values():
+        cols.sort()
+    return {tuple(key // d % base for d in digits): cols for key, cols in blocks.items()}
 
 
 def _block_rows(
     op: DiracOperator, k: int, blocks: Iterable[list[tuple[int, int, Exponents]]]
 ) -> Iterator[dict[int, dict[int, int]]]:
-    """The rows of each block of degree-k columns (code + nu, nu, exps): output key -> {column: weight}.
+    """The rows of each block of columns (major + code, nu, exps): output key -> {column: weight}.
 
     Row (j, mu, e) has the key code(e) + 4j + mu.  Codes are linear, so each
-    plan entry's output sits at a fixed offset from a column's code + nu, read
-    off one flat list of (variable, row offset, weight) per slot, in plan order.
+    plan entry's output sits at a fixed offset from a column's major + code,
+    read off two flat lists per slot, in plan order: (row offset, weight) for
+    the central entries, whose source is x12 at position 0 of a column's
+    exponents, and (position, row offset, weight) for the lowering entries.
+    A column reads its central entries only when it has x12.
     """
     codes = _codes(k)
-    entries = [[(s, sum(map(mul, shift, codes)) + 4 * j + mu - nu, w) for s, shift, j, mu, w in slot]
-               for nu, slot in enumerate(op.plan)]
+    entries = [([], []) for _ in op.plan]
+    for slot, major, (central, lowering) in zip(op.plan, _majors(k), entries):
+        for s, shift, j, mu, w in slot:
+            offset = sum(map(mul, shift, codes)) + 4 * j + mu - major
+            if s == _X12:
+                central.append((offset, w))
+            else:
+                lowering.append((_POSITION[s], offset, w))
     for columns in blocks:
         rows: dict[int, dict[int, int]] = {}
         for c, (key, nu, exps) in enumerate(columns):
-            for s, offset, w in entries[nu]:
-                m = exps[s]
+            central, lowering = entries[nu]
+            for p, offset, w in lowering:
+                m = exps[p]
                 if m:
+                    rows.setdefault(key + offset, {})[c] = m * w
+            m = exps[0]
+            if m:
+                for offset, w in central:
                     rows.setdefault(key + offset, {})[c] = m * w
         yield rows
 

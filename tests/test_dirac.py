@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -38,8 +39,10 @@ from monogenic.laurent import (
 from monogenic.repn import decompose_Mk
 from monogenic.transform import SpinorField, penrose_transform
 from monogenic.weyl import (
+    _POSITION,
     WEYL_GENERATORS,
     _block_rows,
+    _certify_weyl_symmetry,
     _dominant_blocks,
     _orbit_size,
     kernel_character,
@@ -390,13 +393,19 @@ def is_dominant(weight):
     return all(list(part) == sorted(part, reverse=True) for part in (weight[:2], weight[2:]))
 
 
+def base_order(exps):
+    # A block column's exponents (x12, row 0, row 1) in BASE order.
+    return tuple(exps[p] for p in _POSITION)
+
+
 def test_dominant_blocks_are_the_oracle_partition():
     # The directly built blocks hold exactly the dominant columns that one
     # pass over every (monomial, slot) column finds, slot-major: in (nu, exps)
     # order; each column's leading sort key is stripped first.
     for k in range(7):
         expected = {lam: sorted(cols) for lam, cols in weight_columns(k).items() if is_dominant(lam)}
-        blocks = {lam: [(nu, exps) for _, nu, exps in cols] for lam, cols in _dominant_blocks(k).items()}
+        blocks = {lam: [(nu, base_order(exps)) for _, nu, exps in cols]
+                  for lam, cols in _dominant_blocks(k).items()}
         assert blocks == expected, k
 
 
@@ -458,7 +467,7 @@ def test_block_rows_are_the_transposed_column_images(conventions):
         for columns, rows in zip(blocks.values(), _block_rows(op, k, blocks.values())):
             transposed = {}
             for c, (_, nu, exps) in enumerate(columns):
-                for out, w in _column_image(op, nu, exps).items():
+                for out, w in _column_image(op, nu, base_order(exps)).items():
                     transposed.setdefault(out, {})[c] = w
             decoded = {decode_output_key(key, k): row for key, row in rows.items()}
             assert decoded == transposed, k
@@ -488,15 +497,89 @@ def test_kernel_character_is_the_per_weight_nullity():
         assert sum(nullity.values()) == global_kernel_dim(op, k) == graded_kernel_dim(op, k)
 
 
+@lru_cache(maxsize=None)
+def kostka(shape, content):
+    # K_{shape, content}: the Gelfand-Tsetlin patterns with top row `shape`
+    # and weight `content`.  The row below a row of length n interlaces it,
+    # shape[i + 1] <= below[i] <= shape[i], and is shorter by content[-1].
+    if len(shape) == 1:
+        return int(shape == content)
+    size = sum(shape) - content[-1]
+    return sum(
+        kostka(below, content[:-1])
+        for below in product(*(range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1)))
+        if sum(below) == size
+    )
+
+
+def partitions(size, parts, largest):
+    # The non-increasing tuples of `parts` non-negative ints, each at most `largest`, summing to `size`.
+    if parts == 1:
+        return [(size,)] if size <= largest else []
+    return [(first,) + rest for first in range(min(size, largest), -1, -1)
+            for rest in partitions(size - first, parts - 1, first)]
+
+
+def predicted_character(k):
+    # Oracle: {dominant weight: multiplicity} of the degree-k summands.  Label
+    # (a, b, l) has GL(2) weights (l+a+b-i, l+a+i), i = 0..b, and GL(4) weight
+    # multiplicities K_{nu,f} with nu = (2a+b+1+l, a+b+l, a+l, l).
+    character = {}
+    for label, _ in decompose_Mk(k):
+        a, b, l = label.a, label.b, label.l
+        nu = (2 * a + b + 1 + l, a + b + l, a + l, l)
+        for i in range(b // 2 + 1):  # the dominant GL(2) weights
+            for f in partitions(sum(nu), 4, sum(nu)):
+                if multiplicity := kostka(nu, f):
+                    lam = (l + a + b - i, l + a + i) + f
+                    character[lam] = character.get(lam, 0) + multiplicity
+    return character
+
+
+@pytest.mark.parametrize("k", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
+def test_kernel_character_is_the_decomposition(k):
+    # At every dominant weight the kernel's dimension is the multiplicity the
+    # summand labels predict (ROADMAP item 3's cross-check).
+    character = kernel_character(calibrated(), k)
+    assert {lam: m for lam, m in character.items() if m} == predicted_character(k)
+
+
+def weyl_image(g, op, nu, exps):
+    # Oracle: D(P(x^e (x) f_nu)) as a column image.
+    sign, moved = g.monomial(exps)
+    return {key: sign * w for key, w in _column_image(op, g.slots[nu], moved).items()}
+
+
+def moved_weyl_image(g, op, nu, exps):
+    # Oracle: Q(D(x^e (x) f_nu)) as a column image.
+    out = {}
+    for (j, mu, e), w in _column_image(op, nu, exps).items():
+        sign, moved = g.monomial(e)
+        out[g.halves[j], g.slots[mu], moved] = g.output_sign * sign * w
+    return out
+
+
+def commutes(op, spinors):
+    # D P = Q D for every generator on the basis spinors x^e (x) f_nu, e in `spinors`.
+    return all(
+        weyl_image(g, op, nu, exps) == moved_weyl_image(g, op, nu, exps)
+        for g in WEYL_GENERATORS for nu in range(4) for exps in spinors
+    )
+
+
+# The thirteen linear spinors' exponents: D P = Q D on them is D P = Q D on every polynomial spinor.
+UNITS = [tuple(int(t == s) for t in range(len(BASE))) for s in range(len(BASE))]
+
+
 @pytest.mark.parametrize("conventions", OPERATORS)
 def test_weyl_generators_commute_with_the_plan(conventions):
     # D(P(x^e f_nu)) = Q(D(x^e f_nu)) on every basis spinor of degree 1 and 2,
-    # beyond the linear spinors the certificate checks.
+    # beyond the linear spinors the certificate's plan invariance stands for.
     op = build_dirac(*conventions)
     for g in WEYL_GENERATORS:
         for nu in range(4):
             for exps in degree_exponents(1) + degree_exponents(2):
-                assert g.image(op, nu, exps) == g.moved_image(op, nu, exps), (g, nu, exps)
+                assert weyl_image(g, op, nu, exps) == moved_weyl_image(g, op, nu, exps), (g, nu, exps)
 
 
 def with_entry(op, nu, e, entry):
@@ -528,6 +611,40 @@ def test_a_broken_plan_fails_the_certificate():
     misread = DiracOperator(tuple(tuple((x12,) + t[1:] for t in slot) for slot in op.plan), op.scale)
     with pytest.raises(InternalCheckError, match="does not lower x12 alone"):
         graded_kernel_dim(misread, 2)
+
+
+def certified(op):
+    # The Weyl certificate's verdict, outside its per-operator cache.
+    try:
+        _certify_weyl_symmetry.__wrapped__(op)
+    except InternalCheckError as error:
+        return str(error)
+    return None
+
+
+def test_the_certificate_agrees_with_the_commutation_oracle():
+    # The plan-invariance check accepts exactly the plans on which the
+    # generators commute with D on the linear spinors: four operators, and
+    # every single-entry perturbation of the calibrated plan (192 plans).
+    for conventions in OPERATORS + ((1, Fraction(-5, 7)),):
+        op = build_dirac(*conventions)
+        assert certified(op) is None and commutes(op, UNITS), conventions
+    op = calibrated()
+    for nu, slot in enumerate(op.plan):
+        for e, (s, shift, j, mu, w) in enumerate(slot):
+            perturbed = {
+                "weight negated": (s, shift, j, mu, -w),
+                "weight doubled": (s, shift, j, mu, 2 * w),
+                "another output slot": (s, shift, j, (mu + 1) % 4, w),
+                "the other GL(2) half": (s, shift, 1 - j, mu, w),
+            }
+            for change, entry in perturbed.items():
+                broken = with_entry(op, nu, e, entry)
+                verdict = certified(broken)
+                assert (verdict is None) == commutes(broken, UNITS), (nu, e, change)
+                # A weight-keeping change is caught by plan invariance itself.
+                if change.startswith("weight"):
+                    assert verdict is not None and "does not commute" in verdict, (nu, e, change)
 
 
 def test_one_sparse_rank_agrees_with_the_blockwise_oracle():
