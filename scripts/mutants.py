@@ -121,7 +121,10 @@ MUTANTS = [
     ("weyl: _codes packs in base k", _WEYL,
      "return [8 * (k + 1) ** t", "return [8 * k ** t",
      ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
-    ("weyl: no Weyl certificate call", _WEYL, "    _certify_weyl_symmetry(op)\n", "", _BROKEN_PLAN),
+    # The entries `_block_rows` reads, taken off the plan unchecked.
+    ("weyl: no Weyl certificate call", _WEYL, "    entries = _certify_weyl_symmetry(op)\n",
+     "    entries = [([(shift.index(1), *t) for s, shift, *t in slot if s == _X12],\n"
+     "                [(s, *t) for s, shift, *t in slot if s != _X12]) for slot in op.plan]\n", _BROKEN_PLAN),
     ("weyl: no distinct-shift check", _WEYL,
      "        if len({shift for _, shift, *_ in slot}) != len(slot):\n"
      '            raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")\n',
@@ -133,7 +136,14 @@ MUTANTS = [
      '                raise InternalCheckError(f"slot {nu}: shift {shift} '
      'does not lower {BASE.names[s]} alone")\n',
      "", _BROKEN_PLAN),
-    ("weyl: _orbit_size returns 1", _WEYL, "    return size\n", "    return 1\n", _KERNEL),
+    ("weyl: _orbit_size returns 1", _WEYL,
+     "    return (1 if c0 == c1 else 2) * _S4_ORBITS[(f0 == f1) + 2 * (f1 == f2) + 4 * (f2 == f3)]\n",
+     "    return 1\n", _KERNEL),
+    ("weyl: the S4 orbit of f0 = f1 = f2 > f3 counted as 6", _WEYL,
+     "_S4_ORBITS = (24, 12, 12, 4,", "_S4_ORBITS = (24, 12, 12, 6,",
+     _KERNEL + ["tests/test_dirac.py::test_orbit_size_is_the_multinomial"]),
+    ("weyl: a central shift may also raise a second variable", _WEYL,
+     "if sum(shift) != (s == _X12) - 1:", "if sum(shift) < (s == _X12) - 1:", _BROKEN_PLAN),
     ("weyl: x12 sent to +x12", _WEYL,
      '("x12", det * (-1 if halves[0] else 1))', '("x12", 1)', _KERNEL),
     ("weyl: output sign +1", _WEYL, "halves, tau, det)", "halves, tau, 1)", _KERNEL),
@@ -188,7 +198,8 @@ MUTANTS = [
     ("weyl: the certificate looks the moved entry up in slot nu, not slots[nu]", _WEYL,
      "set(op.plan[g.slots[nu]])", "set(op.plan[nu])", _KERNEL + _CERTIFIED),
     ("repn: dim_sl4 divides by 6", "src/monogenic/repn.py", "(3 + p + q + r) // 12", "(3 + p + q + r) // 6",
-     ["tests/test_repn.py::test_dim_sl4", "tests/test_repn.py::test_decompose_degree_two"]),
+     ["tests/test_repn.py::test_dim_sl4", "tests/test_repn.py::test_decompose_degree_two",
+      "tests/test_repn.py::test_the_decomposition_has_the_hilbert_series"]),
     ("cli: table columns joined by one space", "src/monogenic/cli.py",
      'print(indent + "  ".join(', 'print(indent + " ".join(', ["tests/test_cli_golden.py"]),
     ("cli: no __main__ guard", "src/monogenic/cli.py",

@@ -13,7 +13,6 @@ off the operator's plan with monomials packed into int keys.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import compress
 from operator import mul
@@ -111,14 +110,16 @@ WEYL_GENERATORS = (
 
 
 @lru_cache(maxsize=None)
-def _certify_weyl_symmetry(op: DiracOperator) -> None:
+def _certify_weyl_symmetry(op: DiracOperator) -> tuple[tuple[tuple, tuple], ...]:
     """Certify, exactly and once per operator, the symmetry `graded_kernel_dim` counts by.
 
+    Returns each slot's entries as certified, in plan order: (central, lowering),
+    (v, j, mu, w) per entry of shift e_v - e_x12 and (s, j, mu, w) per one of shift -e_s.
     Raises InternalCheckError unless:
-    - the shifts of one slot are distinct, and every plan entry lowers its
-      multiplier x_s by one, lowers no other variable and preserves weight,
-      so neither `_column_image` nor `_block_rows` writes two entries to one
-      key, and no packed key borrows across digits;
+    - the shifts of one slot are distinct, and each plan entry's shift is
+      -e_s for its multiplier x_s, or e_v - e_x12 if x_s is x12, and preserves
+      weight, so neither `_column_image` nor `_block_rows` writes two entries
+      to one key, and no packed key borrows across digits;
     - each generator moves the weight of every variable and slot as it moves
       weights, so P maps the columns of weight lambda onto those of g(lambda);
     - each generator carries every entry (s, shift, j, mu, w) of slot nu onto
@@ -130,14 +131,19 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
       entries match one to one, and D P = Q D term by term on every
       polynomial spinor.
     """
+    entries = []
     for nu, slot in enumerate(op.plan):
         if len({shift for _, shift, *_ in slot}) != len(slot):
             raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")
         for s, shift, j, mu, _ in slot:
             if shift[s] != -1 or sum(d < 0 for d in shift) != 1:
                 raise InternalCheckError(f"slot {nu}: shift {shift} does not lower {BASE.names[s]} alone")
+            if sum(shift) != (s == _X12) - 1:  # x_s alone is lowered: raise one x_v if s is x12, else none
+                raise InternalCheckError(f"slot {nu}: shift {shift} is not -e_s or e_v - e_x12")
             if _output_weight(j, mu, shift) != _unit(2 + nu):
                 raise InternalCheckError(f"slot {nu}: the plan entry {shift} does not preserve weight")
+        entries.append((tuple((shift.index(1), j, mu, w) for s, shift, j, mu, w in slot if s == _X12),
+                        tuple((s, j, mu, w) for s, shift, j, mu, w in slot if s != _X12)))
     for g in WEYL_GENERATORS:
         targets = [t for t, _ in g.variables]
         if any(_VARIABLE_WEIGHTS[t] != g.weight(w) for t, w in zip(targets, _VARIABLE_WEIGHTS)) or any(
@@ -154,16 +160,17 @@ def _certify_weyl_symmetry(op: DiracOperator) -> None:
                     f"the operator does not commute with the Weyl generator {g.halves, g.slots} "
                     f"on slot {nu}"
                 )
+    return tuple(entries)
+
+
+# |S4.f| = 24 / |stabiliser of f| for a non-increasing f, at (f0 == f1) + 2 (f1 == f2) + 4 (f2 == f3).
+_S4_ORBITS = (24, 12, 12, 4, 12, 6, 4, 1)
 
 
 def _orbit_size(w: tuple[int, ...]) -> int:
-    """|W.w| for W = S2 x S4: the product of the two multinomials."""
-    size = 1
-    for part in (w[:2], w[2:]):
-        size *= math.factorial(len(part))
-        for v in set(part):
-            size //= math.factorial(part.count(v))
-    return size
+    """|W.w| for W = S2 x S4 and w dominant, read off which adjacent coordinates are equal."""
+    c0, c1, f0, f1, f2, f3 = w
+    return (1 if c0 == c1 else 2) * _S4_ORBITS[(f0 == f1) + 2 * (f1 == f2) + 4 * (f2 == f3)]
 
 
 def _codes(k: int) -> list[int]:
@@ -241,30 +248,26 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Expon
 
 
 def _block_rows(
-    op: DiracOperator, k: int, blocks: Iterable[list[tuple[int, int, Exponents]]]
+    entries: tuple[tuple[tuple, tuple], ...], k: int, blocks: Iterable[list[tuple[int, int, Exponents]]]
 ) -> Iterator[dict[int, dict[int, int]]]:
     """The rows of each block of columns (major + code, nu, exps): output key -> {column: weight}.
 
     Row (j, mu, e) has the key code(e) + 4j + mu.  Codes are linear, so each
-    plan entry's output sits at a fixed offset from a column's major + code,
-    read off two flat lists per slot, in plan order: (row offset, weight) for
-    the central entries, whose source is x12 at position 0 of a column's
-    exponents, and (position, row offset, weight) for the lowering entries.
-    A column reads its central entries only when it has x12.
+    certified entry (`_certify_weyl_symmetry`) writes at a fixed offset from a
+    column's major + code: 4j + mu - major - code(x_s), plus code(x_v) for a
+    central entry, whose x_s is x12 at position 0 of a column's exponents.  A
+    column reads its central entries only when it has x12.
     """
     codes = _codes(k)
-    entries = [([], []) for _ in op.plan]
-    for slot, major, (central, lowering) in zip(op.plan, _majors(k), entries):
-        for s, shift, j, mu, w in slot:
-            offset = sum(map(mul, shift, codes)) + 4 * j + mu - major
-            if s == _X12:
-                central.append((offset, w))
-            else:
-                lowering.append((_POSITION[s], offset, w))
+    offsets = [
+        ([(codes[v] - codes[_X12] + 4 * j + mu - major, w) for v, j, mu, w in central],
+         [(_POSITION[s], 4 * j + mu - major - codes[s], w) for s, j, mu, w in lowering])
+        for (central, lowering), major in zip(entries, _majors(k))
+    ]
     for columns in blocks:
         rows: dict[int, dict[int, int]] = {}
         for c, (key, nu, exps) in enumerate(columns):
-            central, lowering = entries[nu]
+            central, lowering = offsets[nu]
             for p, offset, w in lowering:
                 m = exps[p]
                 if m:
@@ -286,10 +289,10 @@ def kernel_character(op: DiracOperator, k: int) -> dict[tuple[int, ...], int]:
     (`_block_rows`): rank(B) = rank(B^T), and a large kernel leaves fewer
     output rows than column images to eliminate.
     """
-    _certify_weyl_symmetry(op)
+    entries = _certify_weyl_symmetry(op)
     blocks = _dominant_blocks(k)
     return {
         lam: len(columns) - matrix_rank(list(rows.values()))
-        for (lam, columns), rows in zip(blocks.items(), _block_rows(op, k, blocks.values()))
+        for (lam, columns), rows in zip(blocks.items(), _block_rows(entries, k, blocks.values()))
     }
 

@@ -294,33 +294,38 @@ def test_operator_is_homogeneous_of_degree_minus_one():
                     assert weighted_degree(image_exps) == k - 1
 
 
+def hilbert_dimension(k):
+    # dim M_k = 4 C(k + 9, 9): the Hilbert series 4 / (1 - t)^10 (ROADMAP item 17).
+    return 4 * math.comb(k + 9, 9)
+
+
 def test_graded_kernel_dimensions_match_the_enumeration():
     op = calibrated()
     for k in range(6):
-        expected = sum(d.dimension for _, d in decompose_Mk(k))
-        assert graded_kernel_dim(op, k) == expected
+        assert sum(d.dimension for _, d in decompose_Mk(k)) == hilbert_dimension(k)
+        assert graded_kernel_dim(op, k) == hilbert_dimension(k)
 
 
-def assert_kernel_dimension(k, expected):
-    assert sum(d.dimension for _, d in decompose_Mk(k)) == expected
-    assert graded_kernel_dim(calibrated(), k) == expected
+def assert_kernel_dimension(k):
+    assert sum(d.dimension for _, d in decompose_Mk(k)) == hilbert_dimension(k)
+    assert graded_kernel_dim(calibrated(), k) == hilbert_dimension(k)
 
 
 def test_graded_kernel_dimension_degree_six():
-    assert_kernel_dimension(6, 20020)
+    assert_kernel_dimension(6)
 
 
 def test_graded_kernel_dimension_degree_seven():
-    assert_kernel_dimension(7, 45760)
+    assert_kernel_dimension(7)
 
 
 def test_graded_kernel_dimension_degree_eight():
-    assert_kernel_dimension(8, 97240)
+    assert_kernel_dimension(8)
 
 
 @pytest.mark.slow
 def test_graded_kernel_dimension_degree_nine():
-    assert_kernel_dimension(9, 194480)
+    assert_kernel_dimension(9)
 
 
 def test_degree_basis_sizes():
@@ -444,6 +449,26 @@ def test_dominant_blocks_count_every_column():
         _dominant_blocks(-1)
 
 
+def multinomial_orbit_size(w):
+    # Oracle: |W.w| for W = S2 x S4 is the product of the two parts' multinomials.
+    size = 1
+    for part in (w[:2], w[2:]):
+        size *= math.factorial(len(part))
+        for v in set(part):
+            size //= math.factorial(part.count(v))
+    return size
+
+
+def test_orbit_size_is_the_multinomial():
+    # Every dominant weight of a degree-k spinor, k <= 9 (c sums to k and f to 2k + 1), and
+    # every dominant weight with coordinates 0..3, which meets the two patterns of f an odd
+    # sum never has, f0 = f1 > f2 = f3 and all four equal.
+    spinor_weights = [c + f for k in range(10) for c in partitions(k, 2, k)
+                      for f in partitions(2 * k + 1, 4, 2 * k + 1)]
+    for w in spinor_weights + [w for w in product(range(4), repeat=6) if is_dominant(w)]:
+        assert _orbit_size(w) == multinomial_orbit_size(w), w
+
+
 def decode_output_key(key, k):
     # An output key is 8 * packed(e) + 4j + mu, packed(e) the exponents read
     # as big-endian digits in base k + 1.
@@ -464,7 +489,8 @@ def test_block_rows_are_the_transposed_column_images(conventions):
     op = build_dirac(*conventions)
     for k in range(6):
         blocks = _dominant_blocks(k)
-        for columns, rows in zip(blocks.values(), _block_rows(op, k, blocks.values())):
+        rows_of_blocks = _block_rows(_certify_weyl_symmetry(op), k, blocks.values())
+        for columns, rows in zip(blocks.values(), rows_of_blocks):
             transposed = {}
             for c, (_, nu, exps) in enumerate(columns):
                 for out, w in _column_image(op, nu, base_order(exps)).items():
@@ -536,7 +562,7 @@ def predicted_character(k):
     return character
 
 
-@pytest.mark.parametrize("k", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("k", [*range(8), *(pytest.param(k, marks=pytest.mark.slow) for k in (8, 9))])
 def test_kernel_character_is_the_decomposition(k):
     # At every dominant weight the kernel's dimension is the multiplicity the
     # summand labels predict (ROADMAP item 3's cross-check).
@@ -611,6 +637,19 @@ def test_a_broken_plan_fails_the_certificate():
     misread = DiracOperator(tuple(tuple((x12,) + t[1:] for t in slot) for slot in op.plan), op.scale)
     with pytest.raises(InternalCheckError, match="does not lower x12 alone"):
         graded_kernel_dim(misread, 2)
+    # A central entry (source x12) whose shift raises a second variable, or none,
+    # still lowers x12 alone and has a shift of its own; `_block_rows` reads a
+    # central entry as raising exactly its partner, so the shape is pinned before
+    # weights or the Weyl symmetry are checked.
+    for nu, slot in enumerate(op.plan):
+        for e, (s, shift, j, mu, w) in enumerate(slot):
+            if s == x12:
+                partner = shift.index(1)
+                other = next(v for v in range(len(BASE)) if v not in (x12, partner))
+                for broken in (shift[:other] + (1,) + shift[other + 1:],
+                               shift[:partner] + (0,) + shift[partner + 1:]):
+                    with pytest.raises(InternalCheckError, match="is not -e_s or e_v - e_x12"):
+                        graded_kernel_dim(with_entry(op, nu, e, (s, broken, j, mu, w)), 2)
 
 
 def certified(op):

@@ -1,5 +1,6 @@
 """Dimension formulas, the graded decomposition table and label readout."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -43,6 +44,12 @@ def test_dim_sl4():
     for weight in ((0, 1, 0, 0), (2, 1, 2, 0), (3, 3, 1, 2)):  # one rise at each position
         with pytest.raises(PreconditionError, match="not weakly decreasing"):
             dim_sl4(weight)
+
+
+def test_the_decomposition_has_the_hilbert_series():
+    # dim M_k = 4 C(k + 9, 9) (ROADMAP item 17), well past the degrees a kernel count reaches.
+    for k in range(41):
+        assert sum(desc.dimension for _, desc in decompose_Mk(k)) == 4 * math.comb(k + 9, 9), k
 
 
 def test_decompose_degree_two():
