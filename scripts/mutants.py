@@ -82,7 +82,8 @@ MUTANTS = [
      "for nu in range(4) if index[nu] != nu)", "for nu in range(2, 4) if index[nu] != nu)",
      _CERTIFICATE + _RHO_ORACLE),
     ("cochain: E12 twist 4 zeta1", _COCHAIN,
-     '_TWISTS = {"E12": _poly({"zeta1": 1}, 5)}', '_TWISTS = {"E12": _poly({"zeta1": 1}, 4)}', _CERTIFICATE),
+     '_TWISTS = {"E12": _poly({"zeta1": 1}, 5)}', '_TWISTS = {"E12": _poly({"zeta1": 1}, 4)}',
+     _CERTIFICATE),
     ("transform: reach rule degree + 0", _TRANSFORM,
      "sum(r - 1 for r in poles) <= degree + 1", "sum(r - 1 for r in poles) <= degree + 0",
      ["tests/test_transform.py::test_reach_rule_keeps_every_nonzero_image",
@@ -111,49 +112,48 @@ MUTANTS = [
      "c = coeff / op.scale", "c = coeff",
      ["tests/test_dirac.py::test_apply_2dirac_is_the_stencil_operator"]),
     ("dirac: no central term", "src/monogenic/dirac.py",
-     "terms[nu] += [(x_u, lower, j, mu, c), (x12, central, j, mu, c * half_kappa)]",
-     "terms[nu] += [(x_u, lower, j, mu, c)]", _STENCIL),
+     "terms[nu] += [(x_u, None, j, mu, c), (x12, x_v, j, mu, c * half_kappa)]",
+     "terms[nu] += [(x_u, None, j, mu, c)]", _STENCIL),
     ("dirac: central term in the other GL(2) half", "src/monogenic/dirac.py",
-     "(x12, central, j, mu, c * half_kappa)", "(x12, central, 1 - j, mu, c * half_kappa)", _STENCIL),
+     "(x12, x_v, j, mu, c * half_kappa)", "(x12, x_v, 1 - j, mu, c * half_kappa)", _STENCIL),
+    ("dirac: _column_image lowers x12 in place of x_s", "src/monogenic/dirac.py",
+     "            e[s] = m - 1\n", "            e[0] -= 1\n", _STENCIL),
+    ("dirac: _column_image ignores v", "src/monogenic/dirac.py",
+     "            if v is not None:\n                e[v] += 1\n", "", _STENCIL),
     ("dirac: flipped kappa sign", "src/monogenic/dirac.py",
      "return (jv - ju) * wedge_pair_sign(", "return (ju - jv) * wedge_pair_sign(",
      ["tests/test_dirac.py::test_closed_form_bracket_is_the_commutator_bracket"]),
     ("weyl: _codes packs in base k", _WEYL,
      "return [8 * (k + 1) ** t", "return [8 * k ** t",
      ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
-    # The entries `_block_rows` reads, taken off the plan unchecked.
-    ("weyl: no Weyl certificate call", _WEYL, "    entries = _certify_weyl_symmetry(op)\n",
-     "    entries = [([(shift.index(1), *t) for s, shift, *t in slot if s == _X12],\n"
-     "                [(s, *t) for s, shift, *t in slot if s != _X12]) for slot in op.plan]\n", _BROKEN_PLAN),
-    ("weyl: no distinct-shift check", _WEYL,
-     "        if len({shift for _, shift, *_ in slot}) != len(slot):\n"
-     '            raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")\n',
+    ("weyl: no Weyl certificate call", _WEYL, "    _certify_weyl_symmetry(op)\n", "", _BROKEN_PLAN),
+    ("weyl: no distinct-pair check", _WEYL,
+     "        if len({(s, v) for s, v, *_ in slot}) != len(slot):\n"
+     '            raise InternalCheckError(f"slot {nu}: two plan entries share a variable pair (s, v)")\n',
      "", _BROKEN_PLAN),
-    ("weyl: no plan-weight check", _WEYL, "if _output_weight(j, mu, shift) != _unit(2 + nu):", "if False:",
+    ("weyl: no plan-weight check", _WEYL, "if _entry_weight(s, v, j, mu) != _unit(2 + nu):", "if False:",
      _BROKEN_PLAN),
-    ("weyl: no check that an entry lowers its multiplier alone", _WEYL,
-     "            if shift[s] != -1 or sum(d < 0 for d in shift) != 1:\n"
-     '                raise InternalCheckError(f"slot {nu}: shift {shift} '
-     'does not lower {BASE.names[s]} alone")\n',
-     "", _BROKEN_PLAN),
     ("weyl: _orbit_size returns 1", _WEYL,
      "    return (1 if c0 == c1 else 2) * _S4_ORBITS[(f0 == f1) + 2 * (f1 == f2) + 4 * (f2 == f3)]\n",
      "    return 1\n", _KERNEL),
     ("weyl: the S4 orbit of f0 = f1 = f2 > f3 counted as 6", _WEYL,
      "_S4_ORBITS = (24, 12, 12, 4,", "_S4_ORBITS = (24, 12, 12, 6,",
      _KERNEL + ["tests/test_dirac.py::test_orbit_size_is_the_multinomial"]),
-    ("weyl: a central shift may also raise a second variable", _WEYL,
-     "if sum(shift) != (s == _X12) - 1:", "if sum(shift) < (s == _X12) - 1:", _BROKEN_PLAN),
+    ("weyl: a lowering entry's raised variable weighs nothing", _WEYL,
+     "_VARIABLE_WEIGHTS[v] if v is not None else",
+     "_VARIABLE_WEIGHTS[v] if s == _X12 and v is not None else", _BROKEN_PLAN),
     ("weyl: x12 sent to +x12", _WEYL,
      '("x12", det * (-1 if halves[0] else 1))', '("x12", 1)', _KERNEL),
     ("weyl: output sign +1", _WEYL, "halves, tau, det)", "halves, tau, 1)", _KERNEL),
     ("weyl: strict GL(4) dominance", _WEYL,
      "(f0 + 1 >= f1 >= f2 >= f3, f0 > f1 >= f2 - 1 and f2 >= f3,\n"
      "                                    f0 >= f1 > f2 >= f3 - 1, f0 >= f1 >= f2 > f3)",
-     "(f0 + 1 > f1 > f2 > f3, f0 > f1 + 1 > f2 > f3, f0 > f1 > f2 + 1 > f3, f0 > f1 > f2 > f3 + 1)", _KERNEL),
+     "(f0 + 1 > f1 > f2 > f3, f0 > f1 + 1 > f2 > f3, f0 > f1 > f2 + 1 > f3, f0 > f1 > f2 > f3 + 1)",
+     _KERNEL),
     ("weyl: slot 0 needs f0 >= f1", _WEYL, "f0 + 1 >= f1 >= f2 >= f3", "f0 >= f1 >= f2 >= f3", _DOMINANT),
     ("weyl: slot 1 allows f0 = f1", _WEYL, "f0 > f1 >= f2 - 1 and", "f0 >= f1 >= f2 - 1 and", _DOMINANT),
-    ("weyl: slot 2 allows f1 = f2", _WEYL, "f0 >= f1 > f2 >= f3 - 1", "f0 >= f1 >= f2 >= f3 - 1", _DOMINANT),
+    ("weyl: slot 2 allows f1 = f2", _WEYL, "f0 >= f1 > f2 >= f3 - 1", "f0 >= f1 >= f2 >= f3 - 1",
+     _DOMINANT),
     ("weyl: slot 3 allows f2 = f3", _WEYL, "f0 >= f1 >= f2 > f3", "f0 >= f1 >= f2 >= f3", _DOMINANT),
     ("weyl: _dominant_blocks drops the row-1 shift", _WEYL,
      "w = w0 + w1 + d1 * (base - 1)", "w = w0 + w1", _KERNEL),
@@ -172,7 +172,8 @@ MUTANTS = [
      'sign = "+1" if config.epsilon > 0 else "-1"', 'sign = "-1" if config.epsilon > 0 else "+1"',
      ["tests/test_cli.py::test_calibrate_writes_config_and_report", "tests/test_cli_golden.py"]),
     ("calibration: the attempts' norm text built with str", "src/monogenic/calibration.py",
-     '"clifford_norm": format_fraction(norm),', '"clifford_norm": str(norm),', ["tests/test_cli_golden.py"]),
+     '"clifford_norm": format_fraction(norm),', '"clifford_norm": str(norm),',
+     ["tests/test_cli_golden.py"]),
     ("laurent: rref skips the first back-reduction step of each row", "src/monogenic/laurent.py",
      "for p in [k for k in row if k in reduced]:", "for p in [k for k in row if k in reduced][1:]:",
      ["tests/test_nullspace.py::test_rref_and_nullspace_match_the_gauss_jordan_oracle",
@@ -194,7 +195,8 @@ MUTANTS = [
      "            m = exps[0]\n", "            m = exps[1]\n",
      ["tests/test_dirac.py::test_block_rows_are_the_transposed_column_images"]),
     ("weyl: the certificate drops the moved entry's sign", _WEYL,
-     "g.output_sign * sign * w", "g.output_sign * w", _KERNEL + _CERTIFIED),
+     "g.output_sign * sign_s * sign_v * w", "g.output_sign * w", _KERNEL + _CERTIFIED),
+    ("weyl: the certificate drops v's sign", _WEYL, "sign_s * sign_v * w))", "sign_s * w))", _KERNEL),
     ("weyl: the certificate looks the moved entry up in slot nu, not slots[nu]", _WEYL,
      "set(op.plan[g.slots[nu]])", "set(op.plan[nu])", _KERNEL + _CERTIFIED),
     ("repn: dim_sl4 divides by 6", "src/monogenic/repn.py", "(3 + p + q + r) // 12", "(3 + p + q + r) // 6",

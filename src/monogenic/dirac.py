@@ -29,7 +29,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add
 
 from .charts import BASE, LINEAR_VARIABLES
 from .laurent import Exponents, LaurentPoly, PreconditionError, Record, Scalar, accumulate
@@ -80,8 +79,8 @@ class DiracOperator(Record):
 
     Component j sums clifford @ (d/dvar + correction * d/dx12) over the six
     directions.  ``plan[nu]`` is that operator on spinor slot nu, one flat
-    (source variable s, exponent shift, j, mu, weight) entry per stencil term:
-    the term multiplies by the exponent of x_s, lowers it by the shift and
+    (s, v, j, mu, weight) entry per stencil term x_v d/dx_s, v None for d/dx_s:
+    the term multiplies by the exponent of x_s, lowers x_s, raises x_v and
     writes output (j, mu) with the exact coefficient times ``scale``, the lcm
     of the denominators.  `apply_2dirac` and the Weyl certificate read it one
     basis spinor at a time (`_column_image`); the kernel count reads it one
@@ -103,21 +102,19 @@ def build_dirac(epsilon: int, clifford_norm: Scalar) -> DiracOperator:
     if not norm:
         raise PreconditionError("the Clifford normalization must be nonzero")
     x12 = BASE.index["x12"]
-    terms: list[list[tuple[int, Exponents, int, int, Fraction]]] = [[], [], [], []]
+    terms: list[list[tuple[int, int | None, int, int, Fraction]]] = [[], [], [], []]
     for j, i, block in product(range(2), range(3), (1, 2)):
         u = f"x{block}_{i + 1}{j + 1}"
         v = next(v for v in LINEAR_VARIABLES if central_bracket(v, u))  # the one partner
         matrix = clifford_matrix(LINEAR_VARIABLES[u][1])
         x_u, x_v = BASE.index[u], BASE.index[v]
-        lower = tuple(-(s == x_u) for s in range(len(BASE)))
-        central = tuple((s == x_v) - (s == x12) for s in range(len(BASE)))
         half_kappa = epsilon * Fraction(central_bracket(v, u), 2)
         for nu, mu in product(range(4), range(4)):
             if matrix[mu][nu]:
                 c = norm * matrix[mu][nu]
-                terms[nu] += [(x_u, lower, j, mu, c), (x12, central, j, mu, c * half_kappa)]
+                terms[nu] += [(x_u, None, j, mu, c), (x12, x_v, j, mu, c * half_kappa)]
     scale = math.lcm(*(c.denominator for slot in terms for *_, c in slot))
-    plan = tuple(tuple((s, shift, j, mu, int(c * scale)) for s, shift, j, mu, c in slot) for slot in terms)
+    plan = tuple(tuple((s, v, j, mu, int(c * scale)) for s, v, j, mu, c in slot) for slot in terms)
     return DiracOperator(plan, scale)
 
 
@@ -147,13 +144,17 @@ def is_monogenic(op: DiracOperator, spinor: SpinorField) -> bool:
 def _column_image(op: DiracOperator, nu: int, exps: Exponents) -> dict[tuple, int]:
     """Sparse image of the basis spinor (monomial `exps` in slot nu), times ``op.scale``.
 
-    Distinct shifts give distinct monomials, so no two plan entries meet.
+    Distinct pairs (s, v) of the two shapes give distinct monomials, so no two plan entries meet.
     """
     image: dict[tuple[int, int, Exponents], int] = {}
-    for s, shift, j, mu, w in op.plan[nu]:
+    for s, v, j, mu, w in op.plan[nu]:
         m = exps[s]
         if m:
-            image[j, mu, tuple(map(add, exps, shift))] = m * w
+            e = list(exps)
+            e[s] = m - 1
+            if v is not None:
+                e[v] += 1
+            image[j, mu, tuple(e)] = m * w
     return image
 
 

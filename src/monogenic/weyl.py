@@ -47,14 +47,10 @@ _ROWS = tuple(
 _POSITION = tuple(map(((_X12,) + _ROWS[0] + _ROWS[1]).index, range(len(BASE))))
 
 
-def _weight(exps: Exponents) -> tuple[int, ...]:
-    """Torus weight of a base monomial (or of a plan's exponent shift)."""
-    return tuple(sum(e * w[t] for e, w in zip(exps, _VARIABLE_WEIGHTS)) for t in range(6))
-
-
-def _output_weight(j: int, mu: int, exps: Exponents) -> tuple[int, ...]:
-    """Weight of the output coordinate (j, mu, exps): w(exps) + c_j + (1, 1, 1, 1) - f_mu."""
-    return tuple(w + c - f for w, c, f in zip(_weight(exps), _unit(j, 2, 3, 4, 5), _unit(2 + mu)))
+def _entry_weight(s: int, v: int | None, j: int, mu: int) -> tuple[int, ...]:
+    """The weight a plan entry (s, v, j, mu, w) adds: w(x_v) - w(x_s) + c_j + (1, 1, 1, 1) - f_mu."""
+    raised, lowered = _VARIABLE_WEIGHTS[v] if v is not None else _unit(), _VARIABLE_WEIGHTS[s]
+    return tuple(r - l + c - f for r, l, c, f in zip(raised, lowered, _unit(j, 2, 3, 4, 5), _unit(2 + mu)))
 
 
 class WeylGenerator(Record):
@@ -68,15 +64,6 @@ class WeylGenerator(Record):
 
     # (target, sign) per BASE variable, the GL(2) and GL(4) axis permutations, and a sign
     __slots__ = ("variables", "halves", "slots", "output_sign")
-
-    def monomial(self, exps: Exponents) -> tuple[int, Exponents]:
-        """(sign, exponents) of the image of x^e."""
-        image, sign = [0] * len(exps), 1
-        for (target, s), e in zip(self.variables, exps):
-            image[target] = e
-            if s < 0 and e % 2:
-                sign = -sign
-        return sign, tuple(image)
 
     def weight(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """The weight moved: c_j to c_halves[j] and f_a to f_slots[a]."""
@@ -110,57 +97,48 @@ WEYL_GENERATORS = (
 
 
 @lru_cache(maxsize=None)
-def _certify_weyl_symmetry(op: DiracOperator) -> tuple[tuple[tuple, tuple], ...]:
+def _certify_weyl_symmetry(op: DiracOperator) -> None:
     """Certify, exactly and once per operator, the symmetry `graded_kernel_dim` counts by.
 
-    Returns each slot's entries as certified, in plan order: (central, lowering),
-    (v, j, mu, w) per entry of shift e_v - e_x12 and (s, j, mu, w) per one of shift -e_s.
     Raises InternalCheckError unless:
-    - the shifts of one slot are distinct, and each plan entry's shift is
-      -e_s for its multiplier x_s, or e_v - e_x12 if x_s is x12, and preserves
-      weight, so neither `_column_image` nor `_block_rows` writes two entries
-      to one key, and no packed key borrows across digits;
+    - the pairs (s, v) of one slot are distinct, and each plan entry keeps
+      weight (`_entry_weight`).  Such an entry adds -3 to the coordinate sum,
+      and a linear variable weighs 3, x12 6, so it is d/dx_s with s linear or
+      x_v d/dx12 with v linear.  Neither `_column_image` nor `_block_rows`
+      writes two entries to one key, and no packed key borrows across digits;
     - each generator moves the weight of every variable and slot as it moves
       weights, so P maps the columns of weight lambda onto those of g(lambda);
-    - each generator carries every entry (s, shift, j, mu, w) of slot nu onto
-      an entry of slot slots[nu], namely (target of s, moved shift, halves[j],
-      slots[mu], output_sign * sign of the moved shift * w).  An entry sends
-      x^e (x) f_nu to e_s w x^(e + shift) at output (j, mu); P moves e_s to
-      the target's place, and both P and Q move exponents linearly and sign
-      them multiplicatively.  The shifts of a slot are distinct, so the
-      entries match one to one, and D P = Q D term by term on every
-      polynomial spinor.
+    - each generator carries every entry (s, v, j, mu, w) of slot nu onto an
+      entry of slot slots[nu], namely (target of s, target of v, halves[j],
+      slots[mu], output_sign * sign_s * sign_v * w).  An entry sends x^e (x)
+      f_nu to e_s w x^(e - e_s + e_v) at output (j, mu); P moves e_s to the
+      target's place, and both P and Q move exponents linearly and sign them
+      multiplicatively.  The pairs of a slot are distinct, so the entries
+      match one to one, and D P = Q D term by term on every polynomial spinor.
     """
-    entries = []
     for nu, slot in enumerate(op.plan):
-        if len({shift for _, shift, *_ in slot}) != len(slot):
-            raise InternalCheckError(f"slot {nu}: two plan entries share an exponent shift")
-        for s, shift, j, mu, _ in slot:
-            if shift[s] != -1 or sum(d < 0 for d in shift) != 1:
-                raise InternalCheckError(f"slot {nu}: shift {shift} does not lower {BASE.names[s]} alone")
-            if sum(shift) != (s == _X12) - 1:  # x_s alone is lowered: raise one x_v if s is x12, else none
-                raise InternalCheckError(f"slot {nu}: shift {shift} is not -e_s or e_v - e_x12")
-            if _output_weight(j, mu, shift) != _unit(2 + nu):
-                raise InternalCheckError(f"slot {nu}: the plan entry {shift} does not preserve weight")
-        entries.append((tuple((shift.index(1), j, mu, w) for s, shift, j, mu, w in slot if s == _X12),
-                        tuple((s, j, mu, w) for s, shift, j, mu, w in slot if s != _X12)))
+        if len({(s, v) for s, v, *_ in slot}) != len(slot):
+            raise InternalCheckError(f"slot {nu}: two plan entries share a variable pair (s, v)")
+        for s, v, j, mu, _ in slot:
+            if _entry_weight(s, v, j, mu) != _unit(2 + nu):
+                raise InternalCheckError(f"slot {nu}: the entry {s, v, j, mu} does not preserve weight")
     for g in WEYL_GENERATORS:
         targets = [t for t, _ in g.variables]
         if any(_VARIABLE_WEIGHTS[t] != g.weight(w) for t, w in zip(targets, _VARIABLE_WEIGHTS)) or any(
             _unit(2 + g.slots[nu]) != g.weight(_unit(2 + nu)) for nu in range(4)
         ):
             raise InternalCheckError(f"the Weyl generator {g.halves, g.slots} does not move weights")
+        moves = dict(enumerate(g.variables)) | {None: (None, 1)}
         for nu, slot in enumerate(op.plan):
             moved = set()
-            for s, shift, j, mu, w in slot:
-                sign, image = g.monomial(shift)
-                moved.add((targets[s], image, g.halves[j], g.slots[mu], g.output_sign * sign * w))
+            for s, v, j, mu, w in slot:
+                (ts, sign_s), (tv, sign_v) = moves[s], moves[v]
+                moved.add((ts, tv, g.halves[j], g.slots[mu], g.output_sign * sign_s * sign_v * w))
             if moved != set(op.plan[g.slots[nu]]):
                 raise InternalCheckError(
                     f"the operator does not commute with the Weyl generator {g.halves, g.slots} "
                     f"on slot {nu}"
                 )
-    return tuple(entries)
 
 
 # |S4.f| = 24 / |stabiliser of f| for a non-increasing f, at (f0 == f1) + 2 (f1 == f2) + 4 (f2 == f3).
@@ -248,21 +226,22 @@ def _dominant_blocks(k: int) -> dict[tuple[int, ...], list[tuple[int, int, Expon
 
 
 def _block_rows(
-    entries: tuple[tuple[tuple, tuple], ...], k: int, blocks: Iterable[list[tuple[int, int, Exponents]]]
+    plan: tuple[tuple[tuple, ...], ...], k: int, blocks: Iterable[list[tuple[int, int, Exponents]]]
 ) -> Iterator[dict[int, dict[int, int]]]:
     """The rows of each block of columns (major + code, nu, exps): output key -> {column: weight}.
 
     Row (j, mu, e) has the key code(e) + 4j + mu.  Codes are linear, so each
-    certified entry (`_certify_weyl_symmetry`) writes at a fixed offset from a
-    column's major + code: 4j + mu - major - code(x_s), plus code(x_v) for a
-    central entry, whose x_s is x12 at position 0 of a column's exponents.  A
-    column reads its central entries only when it has x12.
+    entry (s, v, j, mu, w) of a certified plan (`_certify_weyl_symmetry`)
+    writes at a fixed offset from a column's major + code: 4j + mu - major -
+    code(x_s), plus code(x_v) for a central entry, whose x_s is x12 at
+    position 0 of a column's exponents.  A column reads its central entries
+    only when it has x12.
     """
     codes = _codes(k)
     offsets = [
-        ([(codes[v] - codes[_X12] + 4 * j + mu - major, w) for v, j, mu, w in central],
-         [(_POSITION[s], 4 * j + mu - major - codes[s], w) for s, j, mu, w in lowering])
-        for (central, lowering), major in zip(entries, _majors(k))
+        ([(codes[v] - codes[_X12] + 4 * j + mu - major, w) for s, v, j, mu, w in slot if s == _X12],
+         [(_POSITION[s], 4 * j + mu - major - codes[s], w) for s, v, j, mu, w in slot if s != _X12])
+        for slot, major in zip(plan, _majors(k))
     ]
     for columns in blocks:
         rows: dict[int, dict[int, int]] = {}
@@ -289,10 +268,10 @@ def kernel_character(op: DiracOperator, k: int) -> dict[tuple[int, ...], int]:
     (`_block_rows`): rank(B) = rank(B^T), and a large kernel leaves fewer
     output rows than column images to eliminate.
     """
-    entries = _certify_weyl_symmetry(op)
+    _certify_weyl_symmetry(op)
     blocks = _dominant_blocks(k)
     return {
         lam: len(columns) - matrix_rank(list(rows.values()))
-        for (lam, columns), rows in zip(blocks.items(), _block_rows(entries, k, blocks.values()))
+        for (lam, columns), rows in zip(blocks.items(), _block_rows(op.plan, k, blocks.values()))
     }
 

@@ -16,7 +16,7 @@ from operator import add
 
 from monogenic.charts import BASE
 from monogenic.laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Scalar
-from monogenic.weyl import _unit, _weight
+from monogenic.weyl import _VARIABLE_WEIGHTS, _unit
 
 _X12_SLOT = BASE.index["x12"]
 
@@ -40,12 +40,17 @@ def degree_exponents(k: int) -> list[Exponents]:
     return sorted((m,) + linear for m in range(k // 2 + 1) for linear in spread(k - 2 * m, len(BASE) - 1))
 
 
+def monomial_weight(exps: Exponents) -> tuple[int, ...]:
+    """Torus weight of a base monomial: its exponents times the variables' weights."""
+    return tuple(sum(e * w[t] for e, w in zip(exps, _VARIABLE_WEIGHTS)) for t in range(6))
+
+
 def weight_columns(k: int) -> dict[tuple[int, ...], list[tuple[int, Exponents]]]:
     """Every degree-k column (nu, exps), by the torus weight w(exps) + f_nu, in (exps, nu) order."""
     blocks: dict[tuple[int, ...], list[tuple[int, Exponents]]] = {}
     for exps in degree_exponents(k):
         for nu in range(4):
-            blocks.setdefault(tuple(map(add, _weight(exps), _unit(2 + nu))), []).append((nu, exps))
+            blocks.setdefault(tuple(map(add, monomial_weight(exps), _unit(2 + nu))), []).append((nu, exps))
     return blocks
 
 

@@ -180,7 +180,8 @@ BUDGET_CASES = [
 @pytest.mark.parametrize(
     "argv, limit", BUDGET_CASES,
     ids=[
-        "kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed", "transform-unreachable",
+        "kernel-9", "kernel-neg", "hwv-l", "hwv-ab", "transform-z0", "transform-mixed",
+        "transform-unreachable",
         "transform-147-terms", "transform-one-over", "decompose-big",
     ],
 )
@@ -214,7 +215,8 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "_complete_with_image",
-        lambda label: calls.append(label) or (CochainSection(LaurentPoly.zero(TWISTOR)), SpinorField.zero()),
+        lambda label: calls.append(label)
+        or (CochainSection(LaurentPoly.zero(TWISTOR)), SpinorField.zero()),
     )
     write_config(CalibrationConfig(epsilon=1, clifford_norm=Fraction(1)), workdir)
     # A cheap section at the section limit is transformed for real: z11 binds to
@@ -226,7 +228,9 @@ def test_inputs_at_the_budget_are_computed(workdir, capsys, monkeypatch):
     assert run(capsys, "hwv", "--a", "1", "--b", "2", "--l", "1")[0] == 0
     monkeypatch.setattr(cli, "decompose_Mk", lambda k: calls.append(k) or [])
     assert run(capsys, "decompose", "--degree", "200")[0] == 0
-    monkeypatch.setattr(cli, "penrose_transform", lambda section: calls.append(section) or SpinorField.zero())
+    monkeypatch.setattr(
+        cli, "penrose_transform", lambda section: calls.append(section) or SpinorField.zero()
+    )
     section = "z0^5*z11*z32*zeta1^-1*zeta2^-1*zeta3^-1"
     assert run(capsys, "transform", "--section", section)[0] == 0
     assert calls == [8, (1, 2, 1), 200, parse_section(section)]
@@ -288,7 +292,8 @@ def test_overlong_weight_entry_is_a_precondition_error(workdir, capsys, fmt):
     "config, problem",
     [
         ("epsilon = +1\nclifford_norm = 1/1\nbogus = 7\n", "unknown key 'bogus' on line 3"),
-        ("epsilon = +1\nclifford_norm = 1/1\nclifford_norm = 2\n", "repeated key 'clifford_norm' on line 3"),
+        ("epsilon = +1\nclifford_norm = 1/1\nclifford_norm = 2\n",
+         "repeated key 'clifford_norm' on line 3"),
         ("epsilon = +1\nweight\nclifford_norm = 1/1\n", "no '=' on line 2"),
         ("epsilon = +1\nclifford_norm = 1e99999999\n", "bad clifford_norm value '1e99999999' on line 2"),
     ],
@@ -505,7 +510,8 @@ def test_package_exports_the_names_the_harness_and_scripts_use():
     called = set()
     for path in [*(root / "perfbench").glob("*.py"), *(root / "scripts").glob("*.py")]:
         called.update(re.findall(r"\bmonogenic\.(\w+)\(", path.read_text()))
-    called |= {"hwv_complete", "penrose_transform", "hwv_test", "label_of_hwv", "IrrepLabel", "is_monogenic"}
+    called |= {"hwv_complete", "penrose_transform", "hwv_test", "label_of_hwv", "IrrepLabel",
+               "is_monogenic"}
     for name in sorted(called):
         assert callable(getattr(monogenic, name, None)), name
 

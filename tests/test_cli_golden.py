@@ -41,7 +41,8 @@ COMMANDS = [
     ["transform", "--section", "z0^7*zeta1^-1*zeta2^-1*zeta3^-1"],
     ["kernel-dim", "--degree", "9"],
 ]
-SUBCOMMANDS = ["transform", "weight", "act", "check-monogenic", "kernel-dim", "decompose", "hwv", "calibrate"]
+SUBCOMMANDS = ["transform", "weight", "act", "check-monogenic", "kernel-dim", "decompose", "hwv",
+               "calibrate"]
 CASES = (
     [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("table", "json")]
     + [["--help"]]

@@ -44,7 +44,9 @@ from monogenic.weyl import (
     _block_rows,
     _certify_weyl_symmetry,
     _dominant_blocks,
+    _entry_weight,
     _orbit_size,
+    _unit,
     kernel_character,
 )
 
@@ -55,6 +57,7 @@ from graded_algebra import (
     central_corrections,
     degree_exponents,
     matrix_commutator,
+    monomial_weight,
     weight_columns,
     weighted_degree,
 )
@@ -489,7 +492,7 @@ def test_block_rows_are_the_transposed_column_images(conventions):
     op = build_dirac(*conventions)
     for k in range(6):
         blocks = _dominant_blocks(k)
-        rows_of_blocks = _block_rows(_certify_weyl_symmetry(op), k, blocks.values())
+        rows_of_blocks = _block_rows(op.plan, k, blocks.values())
         for columns, rows in zip(blocks.values(), rows_of_blocks):
             transposed = {}
             for c, (_, nu, exps) in enumerate(columns):
@@ -570,9 +573,63 @@ def test_kernel_character_is_the_decomposition(k):
     assert {lam: m for lam, m in character.items() if m} == predicted_character(k)
 
 
+def weighted_monomials(k):
+    # P_k: the number of base monomials of weighted degree k (x12 weighs 2), 0 below degree 0.
+    return sum(math.comb(k - 2 * m + 11, 11) for m in range(k // 2 + 1)) if k >= 0 else 0
+
+
+def output_counts(d):
+    # Oracle: the number of degree-d output coordinates (j, mu, e) at each dominant
+    # weight w(e) + c_j + (1, 1, 1, 1) - f_mu, reached by a column or not.
+    counts = {}
+    for exps in degree_exponents(d) if d >= 0 else []:
+        w = monomial_weight(exps)
+        for j, mu in product(range(2), range(4)):
+            lam = tuple(a + c - f for a, c, f in zip(w, _unit(j, 2, 3, 4, 5), _unit(2 + mu)))
+            if is_dominant(lam):
+                counts[lam] = counts.get(lam, 0) + 1
+    return counts
+
+
+def cokernel_character(op, k):
+    # The cokernel of D on degree-k spinors by dominant weight: the output coordinates of
+    # weight lambda less rank B_lambda = n_lambda - m_lambda, or 0 where no column reaches lambda.
+    blocks, character = _dominant_blocks(k), kernel_character(op, k)
+    return {lam: n - (len(blocks[lam]) - character[lam] if lam in blocks else 0)
+            for lam, n in output_counts(k - 1).items()}
+
+
+def test_the_cokernel_by_weight_has_the_hilbert_series_dimension():
+    # ROADMAP item 18: D maps 4 P_k spinors to 8 P_(k - 1) outputs with rank
+    # 4 P_k - 4 C(k + 9, 9), so the cokernel, summed over Weyl orbits, is
+    # 8 P_(k - 1) - 4 P_k + 4 C(k + 9, 9), and no weight has a negative share.
+    op, totals = calibrated(), []
+    for k in range(8):
+        coker = cokernel_character(op, k)
+        assert min(coker.values(), default=0) >= 0, k
+        totals.append(sum(_orbit_size(lam) * c for lam, c in coker.items()))
+        assert totals[k] == 8 * weighted_monomials(k - 1) - 4 * weighted_monomials(k) + hilbert_dimension(k)
+        if k == 3:
+            # D is onto for k <= 2; the first cokernel is one Weyl orbit of 8 weights, so
+            # the next operator of the complex, D2, starts with 8 components at output degree 2.
+            assert {lam: c for lam, c in coker.items() if c} == {(2, 1, 2, 2, 2, 1): 1}
+            assert _orbit_size((2, 1, 2, 2, 2, 1)) == 8
+    assert totals == [0, 0, 0, 8, 92, 584, 2692, 10048]
+
+
+def moved_monomial(g, exps):
+    # (sign, exponents) of the image of x^e under the generator's P.
+    image, sign = [0] * len(exps), 1
+    for (target, s), e in zip(g.variables, exps):
+        image[target] = e
+        if s < 0 and e % 2:
+            sign = -sign
+    return sign, tuple(image)
+
+
 def weyl_image(g, op, nu, exps):
     # Oracle: D(P(x^e (x) f_nu)) as a column image.
-    sign, moved = g.monomial(exps)
+    sign, moved = moved_monomial(g, exps)
     return {key: sign * w for key, w in _column_image(op, g.slots[nu], moved).items()}
 
 
@@ -580,7 +637,7 @@ def moved_weyl_image(g, op, nu, exps):
     # Oracle: Q(D(x^e (x) f_nu)) as a column image.
     out = {}
     for (j, mu, e), w in _column_image(op, nu, exps).items():
-        sign, moved = g.monomial(e)
+        sign, moved = moved_monomial(g, e)
         out[g.halves[j], g.slots[mu], moved] = g.output_sign * sign * w
     return out
 
@@ -615,41 +672,49 @@ def with_entry(op, nu, e, entry):
     return DiracOperator(tuple(plan), op.scale)
 
 
+X12 = BASE.index["x12"]
+LINEAR = range(1, len(BASE))  # the BASE indices of the twelve linear variables
+
+
+def test_a_weight_keeping_entry_is_a_derivative_or_a_central_term():
+    # The certificate checks no shape: an entry (s, v, j, mu) that keeps the
+    # weight of slot nu adds -3 to the coordinate sum, and a linear variable
+    # weighs 3, x12 6, so it is d/dx_s with s linear or x_v d/dx12 with v linear.
+    kept = set()
+    variables = range(len(BASE))
+    for nu, s, v, j, mu in product(range(4), variables, (None, *variables), range(2), range(4)):
+        if _entry_weight(s, v, j, mu) == _unit(2 + nu):
+            kept.add((nu, s, v, j, mu))
+            assert (s in LINEAR and v is None) or (s == X12 and v in LINEAR), (nu, s, v, j, mu)
+    # Weight alone leaves exactly the 48 places the calibrated plan fills.
+    plan = calibrated().plan
+    assert kept == {(nu, s, v, j, mu) for nu, slot in enumerate(plan) for s, v, j, mu, _ in slot}
+
+
 def test_a_broken_plan_fails_the_certificate():
     op = calibrated()
     for nu, slot in enumerate(op.plan):
-        for e, (s, shift, j, mu, w) in enumerate(slot):
+        for e, (s, v, j, mu, w) in enumerate(slot):
             # Negating any one output weight breaks the Weyl symmetry.
             with pytest.raises(InternalCheckError, match="does not commute"):
-                graded_kernel_dim(with_entry(op, nu, e, (s, shift, j, mu, -w)), 2)
+                graded_kernel_dim(with_entry(op, nu, e, (s, v, j, mu, -w)), 2)
             # Sending it to another output slot breaks the weight blocks.
             with pytest.raises(InternalCheckError, match="does not preserve weight"):
-                graded_kernel_dim(with_entry(op, nu, e, (s, shift, j, (mu + 1) % 4, w)), 2)
-        # Two entries with one shift would overwrite each other's images.
-        with pytest.raises(InternalCheckError, match="share an exponent shift"):
+                graded_kernel_dim(with_entry(op, nu, e, (s, v, j, (mu + 1) % 4, w)), 2)
+            # A central entry that raises nothing, or a lowering entry that also
+            # raises a linear variable, changes the weight.
+            broken = (s, None, j, mu, w) if s == X12 else (s, 1 + s % 12, j, mu, w)
+            with pytest.raises(InternalCheckError, match="does not preserve weight"):
+                graded_kernel_dim(with_entry(op, nu, e, broken), 2)
+        # Two entries with one pair (s, v) would overwrite each other's images.
+        with pytest.raises(InternalCheckError, match="share a variable pair"):
             graded_kernel_dim(with_entry(op, nu, 1, slot[0]), 2)
-    # Every lowering entry multiplying by x12 instead of the variable its shift
-    # lowers, the same way in all slots, keeps weights, distinct shifts and the
-    # Weyl symmetry, but its column images are wrong and its packed row keys
-    # borrow across digits: without the check, k = 1..5 count 48, 312, 1456,
-    # 5460 and 17472 instead of 40, 220, 880, 2860 and 8008.
-    x12 = BASE.index["x12"]
-    misread = DiracOperator(tuple(tuple((x12,) + t[1:] for t in slot) for slot in op.plan), op.scale)
-    with pytest.raises(InternalCheckError, match="does not lower x12 alone"):
+    # Every entry read as multiplying by x12, the same way in all slots.  An
+    # entry names the one variable it both multiplies by and lowers, so the
+    # six lowering entries of each slot all become d/dx12, and their pairs repeat.
+    misread = DiracOperator(tuple(tuple((X12,) + t[1:] for t in slot) for slot in op.plan), op.scale)
+    with pytest.raises(InternalCheckError, match="share a variable pair"):
         graded_kernel_dim(misread, 2)
-    # A central entry (source x12) whose shift raises a second variable, or none,
-    # still lowers x12 alone and has a shift of its own; `_block_rows` reads a
-    # central entry as raising exactly its partner, so the shape is pinned before
-    # weights or the Weyl symmetry are checked.
-    for nu, slot in enumerate(op.plan):
-        for e, (s, shift, j, mu, w) in enumerate(slot):
-            if s == x12:
-                partner = shift.index(1)
-                other = next(v for v in range(len(BASE)) if v not in (x12, partner))
-                for broken in (shift[:other] + (1,) + shift[other + 1:],
-                               shift[:partner] + (0,) + shift[partner + 1:]):
-                    with pytest.raises(InternalCheckError, match="is not -e_s or e_v - e_x12"):
-                        graded_kernel_dim(with_entry(op, nu, e, (s, broken, j, mu, w)), 2)
 
 
 def certified(op):
@@ -662,21 +727,26 @@ def certified(op):
 
 
 def test_the_certificate_agrees_with_the_commutation_oracle():
-    # The plan-invariance check accepts exactly the plans on which the
-    # generators commute with D on the linear spinors: four operators, and
-    # every single-entry perturbation of the calibrated plan (192 plans).
+    # The certificate accepts exactly the plans on which the generators commute
+    # with D on the linear spinors: four operators, and every single-entry
+    # perturbation of the calibrated plan below (264 plans).
     for conventions in OPERATORS + ((1, Fraction(-5, 7)),):
         op = build_dirac(*conventions)
         assert certified(op) is None and commutes(op, UNITS), conventions
     op = calibrated()
     for nu, slot in enumerate(op.plan):
-        for e, (s, shift, j, mu, w) in enumerate(slot):
+        for e, (s, v, j, mu, w) in enumerate(slot):
             perturbed = {
-                "weight negated": (s, shift, j, mu, -w),
-                "weight doubled": (s, shift, j, mu, 2 * w),
-                "another output slot": (s, shift, j, (mu + 1) % 4, w),
-                "the other GL(2) half": (s, shift, 1 - j, mu, w),
+                "weight negated": (s, v, j, mu, -w),
+                "weight doubled": (s, v, j, mu, 2 * w),
+                "another output slot": (s, v, j, (mu + 1) % 4, w),
+                "the other GL(2) half": (s, v, 1 - j, mu, w),
             }
+            if s == X12:  # a central entry raises another linear variable, or none
+                perturbed |= {"another raised variable": (s, 1 + v % 12, j, mu, w),
+                              "no raised variable": (s, None, j, mu, w)}
+            else:  # a lowering entry also raises a linear variable
+                perturbed["a raised variable"] = (s, 1 + s % 12, j, mu, w)
             for change, entry in perturbed.items():
                 broken = with_entry(op, nu, e, entry)
                 verdict = certified(broken)

@@ -333,7 +333,9 @@ def _flip_one_sign(monkeypatch):
 @pytest.mark.parametrize("mutant", [
     _flip_one_sign,
     lambda monkeypatch: monkeypatch.setitem(transform._RHO, "E12", (transform._RHO["E12"][0], None)),
-    lambda monkeypatch: monkeypatch.setitem(cochain._TWISTS, "E12", cochain._TWISTS["E12"].scale(Fraction(4, 5))),
+    lambda monkeypatch: monkeypatch.setitem(
+        cochain._TWISTS, "E12", cochain._TWISTS["E12"].scale(Fraction(4, 5))
+    ),
 ], ids=["flipped vector-field sign", "dropped slot entry", "E12 twist 4"])
 def test_equivariance_certificate_rejects_mutants(monkeypatch, mutant):
     mutant(monkeypatch)
