@@ -41,6 +41,7 @@ _PINNED_STRINGS = ["tests/test_hwv.py::test_complete_pinned_strings",
                    "tests/test_hwv.py::test_completion_is_the_raising_solve"]
 _CERTIFICATE = ["tests/test_transform.py::test_equivariance_certificate_holds",
                 "tests/test_transform.py::test_spinor_action_on_a_worked_image"]
+_COBOUNDARIES = ["tests/test_cochain.py::test_coboundaries_span_the_transform_kernel"]
 _RHO_ORACLE = ["tests/test_transform.py::test_rho_is_the_oracle_table"]
 _KERNEL = ["tests/test_dirac.py::test_graded_kernel_dimensions_match_the_enumeration",
            "tests/test_dirac.py::test_orbit_count_agrees_with_the_global_rank"]
@@ -58,20 +59,22 @@ _CLOSED_FORM = ["tests/test_hwv.py::test_closed_form_is_the_product_expansion",
 MUTANTS = [
     ("hwv: candidates in ascending order", _HWV, "return sorted(out, reverse=True)", "return sorted(out)",
      _PINNED_STRINGS + ["tests/test_hwv.py::test_candidates_are_descending_and_share_the_lead_weight"]),
-    ("hwv: representative read off the closed form, not the reduced row", _HWV,
-     "{p: sum(v * h[c] for c, v in row.items()) for", "{p: form.coefficient(exponents[p]) for",
+    ("hwv: representative zeroed at the pivots, not reduced by the rows", _HWV,
+     "accumulate(h, ((ascending[c], -factor * v) for c, v in row.items()))", "h.pop(ascending[p])",
      _PINNED_STRINGS),
+    ("hwv: coboundary rows pivot at their first nonzero candidate", _HWV,
+     "ascending = exponents[::-1]", "ascending = exponents", _PINNED_STRINGS),
     ("hwv: no leading-shape check", _HWV,
      "    if body.coefficient_of((\"z0\",), (l,)) != leading_term(a, b, l)[1]:\n", "    if False:\n",
-     ["tests/test_hwv.py::test_completion_rejects_zero_candidate_images",
-      "tests/test_hwv.py::test_completion_rejects_a_scaled_closed_form"]),
+     ["tests/test_hwv.py::test_completion_rejects_a_scaled_closed_form"]),
     ("hwv: closed form with N = 2a + b + 4", _HWV, _N, "n, c, terms = 2 * a + b + 4,", _CLOSED_FORM),
     ("hwv: closed form with N = 2a + b + 6", _HWV, _N, "n, c, terms = 2 * a + b + 6,", _CLOSED_FORM),
     ("hwv: no certificate check", _HWV,
      "    if not _is_hwv_image(image):\n        raise InternalCheckError(",
      "    if False:\n        raise InternalCheckError(",
      ["tests/test_hwv.py::test_completion_certifies_the_closed_form",
-      "tests/test_hwv.py::test_completion_raises_only_the_final_image"]),
+      "tests/test_hwv.py::test_completion_raises_only_the_final_image",
+      "tests/test_hwv.py::test_completion_rejects_zero_candidate_images"]),
     ("hwv: no weight-space check", _HWV,
      "    if not form.terms.keys() <= set(exponents):\n", "    if False:\n",
      ["tests/test_hwv.py::test_completion_rejects_a_closed_form_outside_the_weight_space"]),
@@ -81,6 +84,10 @@ MUTANTS = [
     ("transform: no E12 slot entry", _TRANSFORM,
      "for nu in range(4) if index[nu] != nu)", "for nu in range(2, 4) if index[nu] != nu)",
      _CERTIFICATE + _RHO_ORACLE),
+    ("cochain: chart-1 sections twisted by zeta1^-4", _COCHAIN, "    twist = 5\n", "    twist = 4\n",
+     _COBOUNDARIES + _PINNED_STRINGS),
+    ("cochain: chart-1 sections twisted by zeta1^-6", _COCHAIN, "    twist = 5\n", "    twist = 6\n",
+     _COBOUNDARIES + _PINNED_STRINGS),
     ("cochain: E12 twist 4 zeta1", _COCHAIN,
      '_TWISTS = {"E12": _poly({"zeta1": 1}, 5)}', '_TWISTS = {"E12": _poly({"zeta1": 1}, 4)}',
      _CERTIFICATE),
@@ -166,6 +173,8 @@ MUTANTS = [
      "LAMBDA2_BASIS[3 * (2 - b) + i]", "LAMBDA2_BASIS[3 * (b - 1) + i]",
      _RHO_ORACLE + ["tests/test_dirac.py::test_the_variable_table_is_the_oracle_convention",
                     "tests/test_dirac.py::test_integer_column_image_is_the_scaled_fraction_image"]),
+    ("charts: w3j bound to +z3j/zeta1", _CHARTS, 'over_zeta1(-1, f"z3{j}")', 'over_zeta1(1, f"z3{j}")',
+     ["tests/test_charts.py::test_chart1_bindings_are_the_w01_transition"]),
     ("charts: the pair move drops its orientation sign", _CHARTS,
      " * (1 if ta < tb else -1)", "", _KERNEL),
     ("calibration: config_fields flips the epsilon sign", "src/monogenic/calibration.py",

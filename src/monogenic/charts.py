@@ -9,10 +9,11 @@ Coordinates:
 * twistor chart 0:  z0, z_ij (i=1..3, j=1..2), zeta1..zeta3 (zetas invertible);
 * base affine cell: x12 (grade 2) and x1_ij, x2_ij (grade 1).
 
-The incidence bindings are written in closed form, affine in zeta.  The
-frames, the alpha-plane charts and the chart transitions they come from live
-in the test oracle `tests/chart_geometry.py`, which derives the same bindings
-by matrix products and checks that the frames are totally null.
+The incidence bindings are written in closed form, affine in zeta, and so
+are the twistor chart-1 coordinates in chart-0 terms.  The frames, the
+alpha-plane charts and the chart transitions they come from live in the test
+oracle `tests/chart_geometry.py`, which derives the same bindings by matrix
+products and checks that the frames are totally null.
 """
 
 from __future__ import annotations
@@ -127,4 +128,30 @@ def correspondence_substitution() -> dict[str, LaurentPoly]:
                     m, eps = _levi_civita(i, k)
                     zij.append((eps, (f"zeta{m}", f"x1_{k}{j}")))
             bindings[f"z{i}{j}"] = _binding(zij)
+    return bindings
+
+
+def chart1_bindings() -> dict[str, LaurentPoly]:
+    """Bindings w0, w_ij, rho_k of the twistor chart W1 -> Laurent polynomials over TWISTOR.
+
+    The chart change W0 -> W1 in closed form, with zeta1 invertible:
+
+        rho1 = 1/zeta1,  rho2 = zeta2/zeta1,  rho3 = zeta3/zeta1,
+        w0 = z0 + (z21 z32 - z22 z31)/zeta1,
+        w1j = z1j + (z2j zeta2 + z3j zeta3)/zeta1,  w2j = z2j/zeta1,  w3j = -z3j/zeta1.
+    """
+    def over_zeta1(coeff: Scalar, *names: str) -> LaurentPoly:
+        powers = Counter(names)
+        powers["zeta1"] -= 1
+        return LaurentPoly.monomial(TWISTOR, powers, coeff)
+
+    variable = lambda name: LaurentPoly.variable(TWISTOR, name)
+    bindings = {"rho1": over_zeta1(1), "rho2": over_zeta1(1, "zeta2"), "rho3": over_zeta1(1, "zeta3"),
+                "w0": variable("z0") + over_zeta1(1, "z21", "z32") + over_zeta1(-1, "z22", "z31")}
+    for j in (1, 2):
+        bindings[f"w1{j}"] = LaurentPoly.sum(TWISTOR, (
+            variable(f"z1{j}"), over_zeta1(1, f"z2{j}", "zeta2"), over_zeta1(1, f"z3{j}", "zeta3")
+        ))
+        bindings[f"w2{j}"] = over_zeta1(1, f"z2{j}")
+        bindings[f"w3{j}"] = over_zeta1(-1, f"z3{j}")
     return bindings

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .charts import TWISTOR, Z_VARS, term_data, term_exponents
-from .laurent import LaurentPoly, PreconditionError, Record, Scalar
+from .charts import TWISTOR, Z_VARS, chart1_bindings, term_data, term_exponents
+from .laurent import Exponents, LaurentPoly, PreconditionError, Record, Scalar
 
 POSITIVE_SIMPLE_ROOTS = ("A12", "E12", "E23", "E34")
 ROOT_NAMES = ("A12", "E12", "E21", "E23", "E32", "E34", "E43")
@@ -131,6 +131,44 @@ def g0_action(root: str, section: CochainSection) -> CochainSection:
     if root in _TWISTS:
         body = body + _TWISTS[root] * section.body
     return CochainSection(body)
+
+
+# ---------------------------------------------------------------- coboundaries
+def coboundaries(exponents: Sequence[Exponents]) -> list[dict[int, Fraction]]:
+    """Sections of zero class in one weight space, as sparse rows over the positions of `exponents`.
+
+    `exponents` lists every monomial of one weight up to some z0 degree, as
+    `hwv.candidate_exponents` does.  A section is a coboundary when it extends
+    over a triple intersection of the four charts, and two kinds span the rows:
+
+    * a unit row for each monomial with some pole order r_i <= 0, which
+      extends across zeta_i = 0;
+    * a chart-1 section zeta1^-5 w0^s0 w^Z rho^c with c1 >= 0, moved to chart 0
+      by `charts.chart1_bindings`.  The first term of each w binding (z0, z1j,
+      z2j/zeta1 and -z3j/zeta1) sends it to a single monomial, so each listed
+      z0^s0 z^Z / zeta^r names the one chart-1 section of its weight, with
+      c = (r1 + r2 + r3 - 5 - Z21 - Z22 - Z31 - Z32, -r2, -r3).
+
+    The factor zeta1^-5 is the line bundle's, as in the E12 twist 5 zeta1.
+    """
+    twist = 5
+    index = {e: i for i, e in enumerate(exponents)}
+    bindings = chart1_bindings()
+    rows = []
+    for i, e in enumerate(exponents):
+        s0, z, (r1, r2, r3) = term_data(e)
+        if min(r1, r2, r3) <= 0:
+            rows.append({i: Fraction(1)})
+        c1 = r1 + r2 + r3 - twist - sum(z[2:])
+        if c1 >= 0:
+            section = LaurentPoly.monomial(TWISTOR, {"zeta1": -twist})
+            for name, power in zip(("w0", *(f"w{v[1:]}" for v in Z_VARS)), (s0, *z)):
+                section = section * bindings[name] ** power
+            for name, power in (("rho1", c1), ("rho2", -r2), ("rho3", -r3)):
+                rho = bindings[name] if power >= 0 else bindings[name].inverse_monomial()
+                section = section * rho ** abs(power)
+            rows.append({index[t]: c for t, c in section.terms.items()})
+    return rows
 
 
 # ------------------------------------------------------ triviality certificate

@@ -1,11 +1,10 @@
 """Highest weight vectors in the third cohomology, tested and written in closed form.
 
 A section is a highest weight vector when its class is nonzero and every
-positive simple raising (A12, E12, E23, E34) sends it to a class-zero section;
-class vanishing is decided through the transform.  The transform carries each
-raising of a section to the first-order operator rho(E) on its image
-(`transform.spinor_action`, certified once), so only the section is
-transformed and the raisings act on its image.
+positive simple raising (A12, E12, E23, E34) sends it to a class-zero section.
+The transform carries each raising of a section to the first-order operator
+rho(E) on its image (`transform.spinor_action`, certified once), so the test
+transforms only the section and raises its image.
 
 Closed form: with N = 2a + b + 5, Delta = z11 z22 - z12 z21 and q_i the minor
 (z_j1 z_k2 - z_j2 z_k1) / zeta_i for (i, j, k) cyclic,
@@ -14,10 +13,13 @@ Closed form: with N = 2a + b + 5, Delta = z11 z22 - z12 z21 and q_i the minor
 
 c_j = [l!/(l-j)!] / [N (N+1) ... (N+j-1)] and h_j the complete homogeneous
 symmetric polynomial of degree j.  H lies in its label's weight space, a
-finite space of candidate monomials listed in descending order.  A candidate
-is pinned when the images of the candidates before it span its own, that is
-when its column is no pivot of the reduced image rows.  The canonical vector
-is the member of H's class that vanishes at the pinned candidates.
+finite space of candidate monomials listed in descending order.  Two sections
+of the space have one class exactly when they differ by a Cech coboundary
+(`cochain.coboundaries`), so the class is reduced on the twistor side, with no
+transform.  A candidate is pinned when it is the last candidate of some
+coboundary, that is the pivot of a coboundary row with the candidates in
+ascending order.  The canonical vector is the member of H's class that
+vanishes at the pinned candidates.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .charts import TWISTOR, term_exponents
-from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection
-from .laurent import Exponents, InternalCheckError, LaurentPoly, _compositions, rref
+from .cochain import POSITIVE_SIMPLE_ROOTS, CochainSection, coboundaries
+from .laurent import Exponents, InternalCheckError, LaurentPoly, _compositions, accumulate, rref
 from .repn import IrrepLabel, leading_term
 from .transform import SpinorField, penrose_transform, spinor_action
 
@@ -102,11 +104,12 @@ def hwv_complete(label: tuple[int, int, int]) -> CochainSection:
 
 
 def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, SpinorField]:
-    """`hwv_complete` and the transform of its section, summed from the candidate images.
+    """`hwv_complete` and the transform of its section, its one transform.
 
-    With R the reduced image rows and h the closed form's coefficients, the
-    representative is R_p . h at each pivot p and zero at the pinned
-    candidates, so its image is that of the closed form.
+    The closed form is reduced modulo the coboundary rows in reduced echelon
+    form: each row with pivot p is subtracted h_p times, h the closed form's
+    coefficients, so the representative vanishes at every pivot and keeps
+    the closed form's class and image.
     """
     a, b, l = label
     IrrepLabel(a, b, l)  # raises PreconditionError on a negative entry
@@ -114,15 +117,18 @@ def _complete_with_image(label: tuple[int, int, int]) -> tuple[CochainSection, S
     if not form.terms.keys() <= set(exponents):
         raise InternalCheckError(f"label {label}: a closed-form term lies outside the weight space")
 
-    images = [penrose_transform(CochainSection.from_terms({e: 1})) for e in exponents]
-    reduced, pivots = rref(_stacked_rows(images))
-    h = [form.coefficient(e) for e in exponents]
-    at_pivot = {p: sum(v * h[c] for c, v in row.items()) for row, p in zip(reduced, pivots)}
-    body = LaurentPoly(TWISTOR, {exponents[p]: v for p, v in at_pivot.items()})
+    ascending = exponents[::-1]  # so each row pivots at its last candidate in descending order
+    reduced, pivots = rref(coboundaries(ascending))
+    h = dict(form.terms)
+    for row, p in zip(reduced, pivots):
+        if factor := h.get(ascending[p]):
+            accumulate(h, ((ascending[c], -factor * v) for c, v in row.items()))
+    body = LaurentPoly(TWISTOR, h)
     # The z0-top part must be exactly Delta^a z11^b/(zeta1 zeta2 zeta3), leading coefficient one.
     if body.coefficient_of(("z0",), (l,)) != leading_term(a, b, l)[1]:
         raise InternalCheckError(f"label {label}: leading term has the wrong shape")
-    image = SpinorField.combination((v, images[p]) for p, v in at_pivot.items() if v)
+    section = CochainSection(body)
+    image = penrose_transform(section)
     if not _is_hwv_image(image):
         raise InternalCheckError(f"label {label}: the certificate fails (image zero or not raising-closed)")
-    return CochainSection(body), image
+    return section, image

@@ -12,13 +12,13 @@ deg(x12) = 2 and deg(x1_ij) = deg(x2_ij) = 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .charts import BASE, CORRESPONDENCE, LINEAR_VARIABLES, TWISTOR, Z_VARS, ZETA_VARS, move_pair
 from .charts import correspondence_substitution, term_data
 from .cochain import POSITIVE_SIMPLE_ROOTS, _TABLES, _TWISTS, CochainSection, apply_derivation
-from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record, Scalar
+from .laurent import Exponents, InternalCheckError, LaurentPoly, PreconditionError, Record
 
 
 class SpinorField(Record):
@@ -37,15 +37,6 @@ class SpinorField(Record):
     def zero(cls) -> "SpinorField":
         z = LaurentPoly.zero(BASE)
         return cls((z, z, z, z))
-
-    @classmethod
-    def combination(cls, pairs: Iterable[tuple[Scalar, "SpinorField"]]) -> "SpinorField":
-        """The linear combination sum c * field over (c, field) pairs, merged once per component."""
-        pairs = list(pairs)
-        return cls(tuple(
-            LaurentPoly.sum(BASE, (field.components[m].scale(c) for c, field in pairs))
-            for m in range(4)
-        ))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)

@@ -12,6 +12,7 @@ from monogenic.charts import (
     TWISTOR,
     Z_VARS,
     ZETA_VARS,
+    chart1_bindings,
     correspondence_substitution,
     term_data,
     term_exponents,
@@ -156,6 +157,10 @@ def test_w01_row_signs():
     assert out["w22"] == LaurentPoly.monomial(TWISTOR, {"zeta1": -1, "z22": 1})
     assert out["w31"] == LaurentPoly.monomial(TWISTOR, {"zeta1": -1, "z31": 1}, -1)
     assert out["w32"] == LaurentPoly.monomial(TWISTOR, {"zeta1": -1, "z32": 1}, -1)
+
+
+def test_chart1_bindings_are_the_w01_transition():
+    assert chart1_bindings() == w01_transition(generic_twistor_values(), "0->1")
 
 
 def test_w01_round_trips_both_ways():

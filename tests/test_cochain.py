@@ -15,12 +15,16 @@ from monogenic.cochain import (
     Certificate,
     CochainSection,
     Weight,
+    coboundaries,
     g0_action,
     triviality_certificate,
     weight_of_monomial,
 )
-from monogenic.laurent import InternalCheckError, LaurentPoly, PreconditionError
+from monogenic.hwv import _stacked_rows, candidate_exponents
+from monogenic.laurent import InternalCheckError, LaurentPoly, PreconditionError, matrix_rank
+from monogenic.transform import penrose_transform
 
+from test_hwv import labels_of_degree
 from cochain_oracle import (
     CARTAN_BASIS,
     ROOT_SHIFTS,
@@ -349,3 +353,36 @@ def test_chain_flowback_counterexample_raises_internal_check():
     assert is_dominant(weight_of_monomial(f))
     with pytest.raises(InternalCheckError):
         raising_chain(f)
+
+
+# Labels of degree <= 7 whose coboundary rows include chart-1 sections, with their number.
+CHART1_ROWS = {(0, 0, 2): 1, (0, 1, 2): 1, (0, 2, 2): 1, (1, 0, 2): 1, (0, 0, 3): 6,
+               (0, 3, 2): 1, (1, 1, 2): 1, (0, 1, 3): 6}
+
+
+def assert_coboundaries_span_the_kernel(k):
+    # Half of the theorem the completion relies on: on each label's weight space
+    # the coboundary rows have zero transform, and their rank plus the rank of
+    # the candidate images is the number of candidates, so they span ker T there.
+    for label in labels_of_degree(k):
+        exponents = candidate_exponents(*label)
+        rows = coboundaries(exponents)
+        for row in rows:
+            section = CochainSection.from_terms({exponents[c]: v for c, v in row.items()})
+            assert penrose_transform(section).is_zero(), (label, row)
+        images = [penrose_transform(CochainSection.from_terms({e: 1})) for e in exponents]
+        assert matrix_rank(rows) + matrix_rank(_stacked_rows(images)) == len(exponents), label
+        unit = sum(1 for e in exponents if min(term_data(e)[2]) <= 0)
+        assert len(rows) - unit == CHART1_ROWS.get(label, 0), label
+
+
+def test_coboundaries_span_the_transform_kernel():
+    assert len(candidate_exponents(0, 1, 2)) == 81 and len(coboundaries(candidate_exponents(0, 1, 2))) == 49
+    for k in range(6):
+        assert_coboundaries_span_the_kernel(k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [6, 7])
+def test_coboundaries_span_the_transform_kernel_slow(k):
+    assert_coboundaries_span_the_kernel(k)

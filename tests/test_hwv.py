@@ -18,7 +18,7 @@ from monogenic.laurent import InternalCheckError, PreconditionError
 from monogenic.repn import IrrepLabel, label_of_hwv, leading_term, module_descriptor
 from monogenic.transform import SpinorField, penrose_transform
 
-from hwv_oracle import closed_form_with, complete_by_solve
+from hwv_oracle import closed_form_with, complete_by_images, complete_by_solve
 
 
 mono = CochainSection.monomial
@@ -240,7 +240,7 @@ def test_round_trip_degree_six_labels():
     assert len(labels_of_degree(6)) == 10
     assert_round_trip_monogenic(6)
     for label in labels_of_degree(6):
-        assert complete_by_solve(label) == _complete_with_image(label), label
+        assert complete_by_solve(label) == _complete_with_image(label) == complete_by_images(label), label
 
 
 @pytest.mark.slow
@@ -253,20 +253,21 @@ def test_complete_degree_seven_labels():
         assert hwv_test(section), label
         assert label_of_hwv(section) == IrrepLabel(*label)
         assert section.body.coefficient(leading_term(*label)[0]) == 1, label
+        assert complete_by_images(label) == _complete_with_image(label), label
 
 
 def test_completion_is_the_raising_solve():
-    # The oracle solves the raising system over the candidates and asserts that
-    # its class dimension is 1; the slow degree-six round trip compares the rest.
+    # The first oracle solves the raising system over the candidates and asserts
+    # that its class dimension is 1; the second pins the candidates by their
+    # images.  The slow degree-six round trip compares the rest.
     for label in ALL_LABELS + labels_of_degree(5):
-        assert complete_by_solve(label) == _complete_with_image(label), label
+        assert complete_by_solve(label) == _complete_with_image(label) == complete_by_images(label), label
 
 
 def test_completion_image_is_the_transform_of_the_section():
-    # The image summed from the candidate images, which `penrose hwv` prints,
-    # is the transform of the completed section itself, and both print as in
-    # hwv_golden.json up to degree five (the slow degree-six round trip
-    # compares the rest).
+    # The image `penrose hwv` prints is the transform of the completed section
+    # itself, and both print as in hwv_golden.json up to degree five (the slow
+    # degree-six round trip compares the rest).
     labels = ALL_LABELS + labels_of_degree(5)
     assert sorted(GOLDEN) == sorted("%d,%d,%d" % label for label in labels + labels_of_degree(6))
     for label in labels:
@@ -276,9 +277,10 @@ def test_completion_image_is_the_transform_of_the_section():
 
 
 def test_completion_rejects_zero_candidate_images(monkeypatch):
-    # Every candidate is pinned, so the representative is zero and has no leading term.
+    # No candidate is transformed: the reduced section keeps its leading term,
+    # and only the certificate sees that its one image is zero.
     monkeypatch.setattr(hwv, "penrose_transform", lambda section: SpinorField.zero())
-    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): leading term has the wrong shape")):
+    with pytest.raises(InternalCheckError, match=re.escape("(0, 0, 1): the certificate fails")):
         hwv_complete((0, 0, 1))
 
 
@@ -314,6 +316,13 @@ def test_completion_raises_only_the_final_image(monkeypatch):
     monkeypatch.setattr(hwv, "spinor_action", lambda root, field: calls.append(root) or action(root, field))
     hwv_complete((0, 0, 2))
     assert calls == ["A12", "E12", "E23", "E34"]
+
+
+def test_completion_transforms_only_the_reduced_section(monkeypatch):
+    sections = []
+    transform = hwv.penrose_transform
+    monkeypatch.setattr(hwv, "penrose_transform", lambda section: sections.append(section) or transform(section))
+    assert sections == [hwv_complete((0, 1, 2))]
 
 
 def test_closed_form_is_the_product_expansion():
